@@ -11,10 +11,10 @@ Layers, bottom up:
 * `burnside` / `scalars` -- the Burnside ring A(C2) and the fragment of
   the equivariant point ring the coset tables are dressed with.
 * `grading` -- the free grading group over {1, sigma, W_components}
-  with its canonicalization and restriction maps.
+  with its canonical form, fixed degrees and coset keys.
 * `nonequiv` -- ordinary truncated cohomology rings of points, quadrics
   and products of projective lines, used as evaluation targets.
-* `presentation` -- generators, relations, rewrite rules, evaluation
+* `presentation` -- letters, rewrite rules, stated relations, evaluation
   maps and coset-basis tables for each space.
 * `engine` -- homogeneous ring elements, multiplication with rewriting
   to table normal form, coefficient solving from evaluation pairs, and
@@ -29,12 +29,11 @@ from .engine import (AmbiguousSolveError, RingElement, annihilator_check,
                      multiply, normal_form, solve_in_basis,
                      solve_with_coefficients, verify_presentation)
 from .enumerative import LineCountResult, euler_sym3, sym3_grading
-from .grading import (GradingElement, GradingGroup, canonicalize,
-                      fixed_profile, restrict_along)
+from .grading import GradingElement, GradingGroup
 from .nonequiv import (NonequivClass, TruncatedRing, euler_fixed_sym3,
-                       euler_sym3_rank2, ring_mul)
+                       euler_sym3_rank2)
 from .presentation import (FixedTuple, SpacePresentation, coset_basis,
-                           generator_evaluation, load_presentation, mono_str)
+                           load_presentation, mono_str)
 from .scalars import FragmentError, PointScalar, scalar_dressing
 from .cli import Expression, ParseError, parse, run
 
@@ -57,20 +56,15 @@ __all__ = [
     "annihilator_check",
     "burnside_mul",
     "burnside_solve",
-    "canonicalize",
     "coset_basis",
     "euler_fixed_sym3",
     "euler_sym3",
     "euler_sym3_rank2",
-    "fixed_profile",
-    "generator_evaluation",
     "load_presentation",
     "mono_str",
     "multiply",
     "normal_form",
     "parse",
-    "restrict_along",
-    "ring_mul",
     "run",
     "scalar_dressing",
     "solve_in_basis",

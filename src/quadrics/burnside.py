@@ -69,9 +69,6 @@ class BurnsideScalar:
     def fix(self) -> int:
         return self.a
 
-    def is_integer(self) -> bool:
-        return self.b == 0
-
     def __repr__(self) -> str:
         return f"BurnsideScalar({self.a}, {self.b})"
 

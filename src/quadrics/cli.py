@@ -10,15 +10,16 @@ Surface syntax (ASCII throughout; the full token table is in --help):
 
 Scalar names are g, kappa, e, xi and tau2, tau4, ... (the transfers of
 the successive invertible classes); integers are Burnside multiples of
-1.  Everything else must be a ring generator: z00 z11 z01 z10 z0 z1
-(zeta classes), cw cxw cl cxl (Chern classes of the canonical line
-bundles and their twists), x xp (the two ruling section classes) and
-divq (the divided correction class).  Negative powers are grammatical
-only on zeta names -- whether a particular power is licensed in a given
-space is the engine's admissibility check -- and on e when a kappa
-factor is present in the same term (kappa*e^-2k is the k-th divided
-kappa class).  The exponent letter q stands for the space parameter
-bound by --q.
+1.  Every other name is a letter, and the space the expression is read
+in rejects a letter it does not have.  The letters come from the space:
+a zeta class z<c> for each fixed component c, Chern classes such as cw
+cxw (cl cxl on Gr222), section classes such as x xp (x0 x1 x2 as well
+on Q22) and the divided class divq.  Monomials keep their letters in the
+order written.  Negative powers are grammatical only on zeta names --
+whether a particular power is licensed in a given space is the engine's
+admissibility check -- and on e when a kappa factor is present in the
+same term (kappa*e^-2k is the k-th divided kappa class).  The exponent
+letter q stands for the space parameter bound by --q.
 
 Subcommands:
 
@@ -43,7 +44,7 @@ import sys
 from dataclasses import dataclass
 
 from .burnside import BurnsideScalar, UnsolvableError
-from .engine import (RingElement, _has_additive_op, normal_form,
+from .engine import (RingElement, normal_form, render_terms,
                      solve_with_coefficients, verify_presentation)
 from .enumerative import PARITIES, euler_sym3
 from .nonequiv import NonequivClass, TruncatedRing
@@ -51,10 +52,6 @@ from .presentation import (SpacePresentation, load_presentation, mono_str,
                            FixedTuple)
 from .scalars import ONE, FragmentError, PointScalar
 
-Mono = tuple[tuple[str, int], ...]
-
-GENERATORS = ("z00", "z11", "z01", "z10", "z0", "z1",
-              "cw", "cxw", "x", "xp", "divq", "cl", "cxl")
 ZETA_NAMES = frozenset(("z00", "z11", "z01", "z10", "z0", "z1"))
 SPACES = ("BU1", "X1q", "Q_BD", "Q_DD", "Q22", "Gr222")
 
@@ -67,13 +64,10 @@ kappa           2 - g; kappa*e^-2k is the k-th divided kappa class
 e^k             Euler class of the sign line (degree (0, k))
 xi              invertible orientation class (degree (-2, 2))
 tau2, tau4, ..  transfers tau(iota^-2), tau(iota^-4), .. (degree (2j, -2j))
-z00 z11 z01 z10 component zeta classes (negative powers allowed when
-z0 z1           licensed by a section class in the same monomial)
-cw cxw          Chern class of the canonical line bundle and its twist
-cl cxl          the same pair on the Grassmannian
-x xp            section classes of the two rulings
-divq            divided correction class (top Chern over the base)
 q               in exponents: the space parameter bound by --q
+other names     letters of the space: zeta classes z<c> (negative powers
+                allowed when licensed by a letter in the same monomial),
+                Chern classes, section classes and divq
 """
 
 
@@ -268,13 +262,6 @@ class _Parser:
         raise ParseError("an exponent must be an integer or q", column)
 
     def named(self, name: str, exponent: int | None, column: int) -> list[_Term]:
-        if name in GENERATORS:
-            exp = 1 if exponent is None else exponent
-            if exp < 0 and name not in ZETA_NAMES:
-                raise ParseError(
-                    f"negative powers are only allowed on zeta names, "
-                    f"not {name!r}", column)
-            return [_Term(ONE, 0, {name: exp} if exp else {})]
         if name == "e":
             exp = 1 if exponent is None else exponent
             if exp >= 0:
@@ -293,8 +280,16 @@ class _Parser:
                 raise ParseError(f"{name!r}: transfers come in even weights "
                                  "tau2, tau4, ...", column)
             scalar = PointScalar.tau_power(weight // 2)
+        elif name == "q":
+            raise ParseError("q stands only in exponents", column)
         if scalar is None:
-            raise ParseError(f"unknown identifier {name!r}", column)
+            # a letter; the space it is read in checks that it has one
+            exp = 1 if exponent is None else exponent
+            if exp < 0 and name not in ZETA_NAMES:
+                raise ParseError(
+                    f"negative powers are only allowed on zeta names, "
+                    f"not {name!r}", column)
+            return [_Term(ONE, 0, {name: exp} if exp else {})]
         base = [_Term(scalar, 0, {})]
         return base if exponent is None else _value_pow(base, exponent, column)
 
@@ -302,9 +297,6 @@ class _Parser:
 # --------------------------------------------------------------------------
 # expressions
 # --------------------------------------------------------------------------
-
-_PRINT_ORDER = {name: i for i, name in enumerate(GENERATORS)}
-
 
 class Expression:
     """A parsed sum of scalar-dressed monomials, space-independent.
@@ -350,32 +342,6 @@ class Expression:
         return RingElement.from_terms(space, pairs)
 
 
-def render_terms(terms) -> str:
-    """Print scalar/monomial pairs in the surface syntax."""
-    if not terms:
-        return "0"
-    chunks = []
-    for scalar, mono in terms:
-        s, m = str(scalar), mono_str(mono)
-        if mono and _has_additive_op(s):
-            s = f"({s})"
-        if not mono:
-            text = s
-        elif s == "1":
-            text = m
-        elif s == "-1":
-            text = f"-{m}"
-        else:
-            text = f"{s}*{m}"
-        if chunks and not text.startswith("-"):
-            chunks.append(f" + {text}")
-        elif chunks:
-            chunks.append(f" - {text[1:]}")
-        else:
-            chunks.append(text)
-    return "".join(chunks)
-
-
 def parse(text: str, q: int | None = None) -> Expression:
     """Parse surface syntax into an Expression (see module docstring)."""
     raw = _Parser(text, q).parse()
@@ -384,10 +350,7 @@ def parse(text: str, q: int | None = None) -> Expression:
         scalar = _resolve_eneg(term, 1)
         if not scalar:
             continue
-        mono = tuple((name, exp) for name, exp in
-                     sorted(term.mono.items(),
-                            key=lambda kv: _PRINT_ORDER.get(kv[0], 99))
-                     if exp)
+        mono = tuple((name, exp) for name, exp in term.mono.items() if exp)
         terms.append((scalar, mono))
     return Expression(terms)
 

@@ -9,15 +9,8 @@ W_{c_r}, modulo the single relation
 Every element has a unique canonical form in which the last label's W does
 not appear; all arithmetic works on that form.  Restriction to the fixed
 component c sends W_c to 2*sigma - 2 and every other W to 0, which gives the
-fixed-degree bookkeeping, and restriction along an equivariant map is linear
-over 1 and sigma with a table of W-images.
-
-The two-generator subgroup relevant to coset decompositions is the image of
-the grading group of the base projective space ("the BU(1) part"), spanned by
-1, sigma and the sum of the diagonal W's.  Quadric gradings split uniquely as
-integer offsets along one (or, for the split four-component quadric, two)
-chosen W's plus a BU(1) part; coset_offsets/from_offsets implement that
-splitting and are inverse to each other.
+fixed-degree bookkeeping.  The coset key -- the W-offsets relative to the
+first label -- indexes the additive coset tables of the presentations.
 """
 
 from __future__ import annotations
@@ -57,14 +50,6 @@ class GradingGroup:
 
     def omega(self, label: str) -> "GradingElement":
         return self.element(omega={label: 1})
-
-    def coset_labels(self) -> tuple[str, ...]:
-        """The W's whose integer offsets index cosets of the BU(1) part."""
-        if len(self.labels) == 2:
-            return ()
-        if len(self.labels) == 3:
-            return (self.labels[1],)
-        return (self.labels[1], self.labels[3])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradingGroup) and self.labels == other.labels
@@ -127,10 +112,6 @@ class GradingElement:
 
     # --- the maps the engine consumes ---
 
-    def underlying_pair(self) -> tuple[int, int]:
-        """RO(C2) degree (1-part, sigma-part); W's restrict to 0 underlying... """
-        return (self.one, self.sigma)
-
     def underlying_dim(self) -> int:
         """Total degree of the underlying nonequivariant restriction."""
         return self.one + self.sigma
@@ -146,27 +127,6 @@ class GradingElement:
         """W-offsets relative to the first label; constant on BU(1)-part cosets."""
         w0 = self.omega[0]
         return tuple(w - w0 for w in self.omega[1:])
-
-    def is_bu1(self) -> bool:
-        """Whether the grading lies in the image of the base projective space."""
-        offsets, _ = self.coset_offsets()
-        return not any(offsets)
-
-    def coset_offsets(self) -> tuple[tuple[int, ...], "GradingElement"]:
-        """Split as integer offsets along the coset W's plus a BU(1) part."""
-        reps = self.group.coset_labels()
-        beta = self
-        offsets = []
-        if len(self.group.labels) == 3:
-            m = self.omega[1] - self.omega[0]
-            offsets = [m]
-            beta = self - m * self.group.omega(reps[0])
-        elif len(self.group.labels) == 4:
-            m = self.omega[1] - self.omega[0]
-            n = -self.omega[2]
-            offsets = [m, n]
-            beta = self - m * self.group.omega(reps[0]) - n * self.group.omega(reps[1])
-        return tuple(offsets), beta
 
     def to_ro_c2(self) -> tuple[int, int]:
         """The (1, sigma) pair, defined only when no W appears."""
@@ -204,45 +164,3 @@ class GradingElement:
     def __repr__(self):
         return f"<{self}>"
 
-
-def canonicalize(group: GradingGroup, one: int = 0, sigma: int = 0,
-                 omega: Mapping[str, int] | None = None) -> GradingElement:
-    """Canonical form of one*1 + sigma*s + sum omega[c]*W_c."""
-    return group.element(one, sigma, omega)
-
-
-def fixed_profile(alpha: GradingElement) -> tuple[tuple[str, int], ...]:
-    """Degree of the restriction to each fixed component, by label."""
-    return alpha.fixed_profile()
-
-
-def restrict_along(alpha: GradingElement, images: Mapping[str, GradingElement],
-                   target: GradingGroup) -> GradingElement:
-    """Push a grading through an equivariant map with the given W-images.
-
-    The map is linear, fixes 1 and sigma, and sends W_c to images[c]; the
-    images must be given for every label that can carry a nonzero canonical
-    coordinate (all but the last).
-    """
-    result = target.element(alpha.one, alpha.sigma)
-    for label, w in zip(alpha.group.labels, alpha.omega):
-        if w:
-            img = images.get(label)
-            if img is None:
-                raise KeyError(f"no W-image for component {label!r}")
-            if img.group != target:
-                raise ValueError(f"W-image for {label!r} lies in the wrong group")
-            result = result + w * img
-    return result
-
-
-def from_offsets(group: GradingGroup, offsets: tuple[int, ...],
-                 base: GradingElement) -> GradingElement:
-    """Inverse of GradingElement.coset_offsets."""
-    reps = group.coset_labels()
-    if len(offsets) != len(reps):
-        raise ValueError(f"expected {len(reps)} offsets for {group}")
-    result = base
-    for off, label in zip(offsets, reps):
-        result = result + off * group.omega(label)
-    return result

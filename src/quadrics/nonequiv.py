@@ -294,10 +294,6 @@ class NonequivClass:
         return text
 
 
-def ring_mul(u: NonequivClass, v: NonequivClass) -> NonequivClass:
-    return u * v
-
-
 def _symmetric_reduction(poly: dict[Key, int]) -> dict[Key, int]:
     """Rewrite a symmetric polynomial in a, b as a polynomial in a+b, ab."""
     poly = {k: n for k, n in poly.items() if n}

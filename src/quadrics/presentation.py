@@ -9,8 +9,8 @@ A SpacePresentation bundles, for one space,
   * the letters' gradings and divisibility credits -- the set of
     component classes whose negative powers a letter's presence
     licenses in an admissible monomial,
-  * an ordered list of grading-preserving rewrite rules, the ring
-    relations they orient, derived-element definitions, unit pairs and
+  * an ordered list of grading-preserving rewrite rules, the stated
+    relations that no rule already says in the same form, unit pairs and
     section/pushforward data,
   * additive coset tables: a finite free-module basis over the point
     ring for every coset of the RO(C2)-plus-base-class grading lattice.
@@ -153,24 +153,6 @@ class Relation:
         return f"Relation({self.name})"
 
 
-class Inclusion:
-    """Restriction data along a fixed-point section of the ambient quadric."""
-
-    __slots__ = ("name", "target_name", "target_q", "omega_images", "zeta_images")
-
-    def __init__(self, name: str, target_name: str, target_q: int | None,
-                 omega_images: Mapping[str, GradingElement],
-                 zeta_images: Mapping[str, Mono]):
-        self.name = name
-        self.target_name = target_name
-        self.target_q = target_q
-        self.omega_images = dict(omega_images)
-        self.zeta_images = dict(zeta_images)
-
-    def __repr__(self):
-        return f"Inclusion({self.name} -> {self.target_name})"
-
-
 def _mono_of(order: tuple[str, ...], exps: Mapping[str, int]) -> Mono:
     for name in exps:
         if name not in order:
@@ -200,7 +182,7 @@ class SpacePresentation:
         "letters", "letter_order", "invertible", "rules", "relations",
         "derived", "units", "lemma_ansatz", "lemma_expected",
         "pushforwards", "pushforward_targets", "pushforward_ansatz",
-        "identifications", "inclusions", "annihilator_pair",
+        "identifications", "annihilator_pair",
         "_table_cache", "_eval_cache", "_grading_cache",
     )
 
@@ -208,7 +190,7 @@ class SpacePresentation:
                  letters, letter_order, invertible=(), rules=(), relations=(),
                  derived=None, units=(), lemma_ansatz=None, lemma_expected=None,
                  pushforwards=None, pushforward_targets=None,
-                 pushforward_ansatz=None, identifications=None, inclusions=None,
+                 pushforward_ansatz=None, identifications=None,
                  annihilator_pair=None):
         self.name = name
         self.family = family
@@ -229,7 +211,6 @@ class SpacePresentation:
         self.pushforward_targets = dict(pushforward_targets or {})
         self.pushforward_ansatz = pushforward_ansatz
         self.identifications = dict(identifications or {})
-        self.inclusions = dict(inclusions or {})
         self.annihilator_pair = annihilator_pair
         self._table_cache = {}
         self._eval_cache = {}
@@ -294,10 +275,6 @@ class SpacePresentation:
         result = (rho, FixedTuple(parts))
         self._eval_cache[m] = result
         return result
-
-    def generator_evaluation(self, name: str) -> tuple[NonequivClass, FixedTuple]:
-        letter = self.letters[name]
-        return (letter.rho, letter.fix)
 
     # --- coset tables ---
 
@@ -484,6 +461,25 @@ def _terms(order: tuple[str, ...], *pairs) -> Terms:
     return tuple((scalar, _mono_of(order, exps)) for scalar, exps in pairs)
 
 
+def _zeta_letters(group: GradingGroup, und: TruncatedRing,
+                  rings) -> tuple[dict[str, Letter], RewriteRule]:
+    """The zeta letter z<c> of every fixed component c, and their merge rule.
+
+    z<c> has grading W_c and restricts to 1 underlying, to 0 on c and to 1
+    on every other component.  The W's sum to 2*sigma - 2, so the product
+    of all the zetas is the orientation class xi.  Every letter order
+    starts with these names, in label order.
+    """
+    letters = {}
+    for label in group.labels:
+        name = f"z{label}"
+        fix = _point_profile(rings, *(int(other != label) for other in group.labels))
+        letters[name] = Letter(name, group.omega(label), NonequivClass.unit(und), fix)
+    merge = RewriteRule("zeta-merge", tuple((name, 1) for name in letters),
+                        ((_XI, ()),))
+    return letters, merge
+
+
 def _build_bu1() -> SpacePresentation:
     # The classifying space itself: evaluation is windowed polynomial
     # algebra (degrees beyond the window are not probed by anything the
@@ -496,20 +492,14 @@ def _build_bu1() -> SpacePresentation:
     rings = (f0, f1)
     order = ("z0", "z1", "cw", "cxw")
     c = _cls(und, 1)
-    letters = {
-        "z0": Letter("z0", group.omega("0"), NonequivClass.unit(und),
-                     _point_profile(rings, 0, 1)),
-        "z1": Letter("z1", group.omega("1"), NonequivClass.unit(und),
-                     _point_profile(rings, 1, 0)),
-        "cw": Letter("cw", group.element(2, omega={"1": 1}), c,
-                     _point_profile(rings, _cls(f0, 1), 1), credits=("z0",)),
-        "cxw": Letter("cxw", group.element(2, omega={"0": 1}), c,
-                      _point_profile(rings, 1, _cls(f1, 1)), credits=("z1",)),
-    }
+    letters, zeta_merge = _zeta_letters(group, und, rings)
+    letters["cw"] = Letter("cw", group.element(2, omega={"1": 1}), c,
+                           _point_profile(rings, _cls(f0, 1), 1), credits=("z0",))
+    letters["cxw"] = Letter("cxw", group.element(2, omega={"0": 1}), c,
+                            _point_profile(rings, 1, _cls(f1, 1)), credits=("z1",))
     t = lambda *pairs: _terms(order, *pairs)
     rules = (
-        RewriteRule("zeta-merge", _mono_of(order, {"z0": 1, "z1": 1}),
-                    t((_XI, {}))),
+        zeta_merge,
         RewriteRule("twisted-euler-reduction",
                     _mono_of(order, {"z1": 1, "cxw": 1}),
                     t((_UNIT_MINUS_KAPPA, {"z0": 1, "cw": 1}), (_E2, {}))),
@@ -517,22 +507,14 @@ def _build_bu1() -> SpacePresentation:
                     _mono_of(order, {"z0": 2, "cw": 1}),
                     t((_XI, {"cxw": 1}), (_E2, {"z0": 1}))),
     )
-    relations = (
-        Relation("zeta-product", t((_ONE, {"z0": 1, "z1": 1})), t((_XI, {}))),
-        Relation("twisted-euler", t((_ONE, {"z1": 1, "cxw": 1})),
-                 t((_UNIT_MINUS_KAPPA, {"z0": 1, "cw": 1}), (_E2, {}))),
-    )
     units = (
         ("unit-0", t((_ONE, {}), (-_K1, {"z0": 1, "cw": 1})),
          t((_UNIT_MINUS_KAPPA, {}), (_K1, {"z1": 1, "cxw": 1}))),
     )
-    derived = {
-        "eps0": t((_K1, {"z0": 1, "cw": 1})),
-        "eps1": t((_K1, {"z1": 1, "cxw": 1})),
-    }
+    derived = {"eps0": t((_K1, {"z0": 1, "cw": 1}))}
     return SpacePresentation(
         "BU1", "BU1", None, group, und, rings, letters, order,
-        rules=rules, relations=relations, units=units, derived=derived)
+        rules=rules, units=units, derived=derived)
 
 
 def _build_x1q(q: int) -> SpacePresentation:
@@ -542,12 +524,8 @@ def _build_x1q(q: int) -> SpacePresentation:
              TruncatedRing.truncated_poly(q) if q >= 1 else TruncatedRing.zero())
     order = ("z0", "z1", "cw", "cxw") if q >= 1 else ("z0", "z1")
     c = _cls(und, 1)
-    letters = {
-        "z0": Letter("z0", group.omega("0"), NonequivClass.unit(und),
-                     _point_profile(rings, 0, 1)),
-        "z1": Letter("z1", group.omega("1"), NonequivClass.unit(und),
-                     _point_profile(rings, 1, 0)),
-    }
+    letters, zeta_merge = _zeta_letters(group, und, rings)
+    rules = [zeta_merge]
     if q >= 1:
         letters["cw"] = Letter("cw", group.element(2, omega={"1": 1}), c,
                                _point_profile(rings, 0, 1), credits=("z0",))
@@ -555,12 +533,7 @@ def _build_x1q(q: int) -> SpacePresentation:
             "cxw", group.element(2, omega={"0": 1}), c,
             _point_profile(rings, 1, _cls(rings[1], 1)),
             credits=("z1",) if q == 1 else ())
-    t = lambda *pairs: _terms(order, *pairs)
-    rules = [RewriteRule("zeta-merge", _mono_of(order, {"z0": 1, "z1": 1}),
-                         t((_XI, {})))]
-    relations = [Relation("zeta-product", t((_ONE, {"z0": 1, "z1": 1})),
-                          t((_XI, {})))]
-    if q >= 1:
+        t = lambda *pairs: _terms(order, *pairs)
         rules += [
             RewriteRule("fibre-truncation",
                         _mono_of(order, {"cw": 1, "cxw": q}), ()),
@@ -571,34 +544,9 @@ def _build_x1q(q: int) -> SpacePresentation:
                         _mono_of(order, {"z0": 2, "cw": 1}),
                         t((_XI, {"cxw": 1}), (_E2, {"z0": 1}))),
         ]
-        relations += [
-            Relation("fibre-truncation", t((_ONE, {"cw": 1, "cxw": q})), ()),
-            Relation("twisted-euler", t((_ONE, {"z1": 1, "cxw": 1})),
-                     t((_UNIT_MINUS_KAPPA, {"z0": 1, "cw": 1}), (_E2, {}))),
-        ]
     return SpacePresentation(
         f"X1q(q={q})", "X1q", q, group, und, rings, letters, order,
-        invertible=("z1",) if q == 0 else (),
-        rules=rules, relations=relations)
-
-
-def _quadric_inclusions(q, *, gr=False):
-    target = load_presentation("X1q", q)
-    tg = target.group
-    zero = tg.zero()
-    cw, cxw = ("cl", "cxl") if gr else ("cw", "cxw")
-    mk = lambda exps: _mono_of(target.letter_order, exps)
-    euler = {cw: mk({"cw": 1}), cxw: mk({"cxw": 1})} if q >= 1 else {}
-    return {
-        "i0": Inclusion("i0", "X1q", q,
-                        {"00": tg.omega("0"), "11": zero, "1": tg.omega("1")},
-                        dict({"z00": mk({"z0": 1}), "z11": mk({}),
-                              "z1": mk({"z1": 1})}, **euler)),
-        "i2": Inclusion("i2", "X1q", q,
-                        {"00": zero, "11": tg.omega("0"), "1": tg.omega("1")},
-                        dict({"z00": mk({}), "z11": mk({"z0": 1}),
-                              "z1": mk({"z1": 1})}, **euler)),
-    }
+        invertible=("z1",) if q == 0 else (), rules=rules)
 
 
 def _build_quadric(family: str, q: int) -> SpacePresentation:
@@ -629,19 +577,12 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
     else:
         c_m, y_m = _cls(mid, 1, 0), _cls(mid, 0, 1)
 
-    letters = {
-        "z00": Letter("z00", group.omega("00"), NonequivClass.unit(und),
-                      _point_profile(rings, 0, 1, 1)),
-        "z11": Letter("z11", group.omega("11"), NonequivClass.unit(und),
-                      _point_profile(rings, 1, 0, 1)),
-        "z1": Letter("z1", group.omega("1"), NonequivClass.unit(und),
-                     _point_profile(rings, 1, 1, 0)),
-        cw: Letter(cw, omega_w, c_u, _point_profile(rings, 0, 0, 1),
-                   credits=("z00", "z11", "z1") if q == 0 else ("z00", "z11")),
-        cxw: Letter(cxw, chi, c_u, _point_profile(rings, 1, 1, c_m)),
-        "x": Letter("x", depth * chi + sigma2, y_u,
-                    _point_profile(rings, 0, 1, y_m), credits=("z00",)),
-    }
+    letters, zeta_merge = _zeta_letters(group, und, rings)
+    letters[cw] = Letter(cw, omega_w, c_u, _point_profile(rings, 0, 0, 1),
+                         credits=("z00", "z11", "z1") if q == 0 else ("z00", "z11"))
+    letters[cxw] = Letter(cxw, chi, c_u, _point_profile(rings, 1, 1, c_m))
+    letters["x"] = Letter("x", depth * chi + sigma2, y_u,
+                          _point_profile(rings, 0, 1, y_m), credits=("z00",))
     if q >= 1:
         letters["divq"] = Letter("divq", q * chi, cq_u,
                                  _point_profile(rings, 1, -1, 0), credits=("z1",))
@@ -655,35 +596,32 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
     t = lambda *pairs: _terms(order, *pairs)
     mono = lambda exps: _mono_of(order, exps)
 
-    rules = [RewriteRule("zeta-merge", mono({"z00": 1, "z11": 1, "z1": 1}),
-                         t((_XI, {})))]
-    relations = [Relation("zeta-product", t((_ONE, {"z00": 1, "z11": 1, "z1": 1})),
-                          t((_XI, {})))]
+    rules = [zeta_merge]
 
     if family == "BD":
         if q == 0:
-            x_sq = t((_E2, {"x": 1}))
+            xp_rule = RewriteRule("xp-expansion", mono({"xp": 1}),
+                                  t((_UNIT_MINUS_KAPPA, {"x": 1}), (_E2, {})),
+                                  guard="admissible")
             rules += [
                 RewriteRule("section-vanishing", mono({"x": 1, "xp": 1}), ()),
-                RewriteRule("x-square", mono({"x": 2}), x_sq),
+                RewriteRule("x-square", mono({"x": 2}), t((_E2, {"x": 1}))),
                 RewriteRule("euler-transfer", mono({cw: 1}),
                             t((_TAU, {"z1": 1, "x": 1}))),
-                RewriteRule("xp-expansion", mono({"xp": 1}),
-                            t((_UNIT_MINUS_KAPPA, {"x": 1}), (_E2, {})),
-                            guard="admissible"),
+                xp_rule,
             ]
-            relations += [
-                Relation("x-square", t((_ONE, {"x": 2})), x_sq),
+            relations = [
                 Relation("euler-transfer",
                          t((_ONE, {cw: 1}), (-_K1, {cw: 1, "x": 1})),
                          t((_TAU, {"z1": 1, "x": 1}))),
             ]
-            derived = {"xp": t((_UNIT_MINUS_KAPPA, {"x": 1}), (_E2, {}))}
             units = (("section-unit", t((_ONE, {}), (-_K1, {"x": 1})),
                       t((_ONE, {}), (-_K1, {"x": 1}))),)
             lemma_ansatz = ((_ONE, mono({"x": 1})), (_E2, mono({})))
         else:
-            x_sq_paper = t((_E2, {cxw: q, "x": 1}))
+            xp_rule = RewriteRule("xp-expansion", mono({"xp": 1}),
+                                  t((_ONE, {"x": 1}), (_E2, {"divq": 1})),
+                                  guard="admissible")
             rules += [
                 RewriteRule("section-vanishing", mono({"x": 1, "xp": 1}), ()),
                 # x-square, oriented at the divided-class basis slot
@@ -699,34 +637,32 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
                 RewriteRule("diagonal-square-reduction",
                             mono({"z00": 2, "z11": 2, cw: 1}),
                             t((_XI, {cxw: 1}), (_E2, {"z00": 1, "z11": 1}))),
-                RewriteRule("xp-expansion", mono({"xp": 1}),
-                            t((_ONE, {"x": 1}), (_E2, {"divq": 1})),
-                            guard="admissible"),
+                xp_rule,
             ]
-            relations += [
-                Relation("x-square", t((_ONE, {"x": 2})), x_sq_paper),
-                Relation("euler-times-divided",
-                         t((_ONE, {cw: 1, "divq": 1})),
-                         t((_TAU, {"z1": 1, "x": 1}))),
+            relations = [
+                Relation("x-square", t((_ONE, {"x": 2})),
+                         t((_E2, {cxw: q, "x": 1}))),
                 Relation("divided-class", t((_ONE, {"divq": 1})),
                          t((_ONE, {cxw: q}), (-_K1, {"x": 1}))),
             ]
-            derived = {"xp": t((_ONE, {"x": 1}), (_E2, {"divq": 1}))}
             units = ()
             lemma_ansatz = ((_ONE, mono({"x": 1})), (_E2, mono({"divq": 1})),
                             (_K1, mono({"z00": 1, "z11": 1, cw: 1, "x": 1})))
-        lemma_expected = derived["xp"]
+        lemma_expected = xp_rule.rhs
         annihilator_pair = ("x", "xp")
     else:
         # Even quadrics: two disjoint section families, no vanishing pair.
         if q % 2 == 1:
-            x_sq = t((_E2, {cxw: q - 1, "x": 1}))
-            x_sq_rule = x_sq
+            x_sq_rule = t((_E2, {cxw: q - 1, "x": 1}))
+            relations = []
         else:
-            x_sq = t((_ONE, {"z1": 1, cxw: q, "x": 1}))
             # oriented form: push through the divided class, the twisted
             # unit swallows the correction term exactly
             x_sq_rule = t((_UNIT_MINUS_KAPPA, {"z1": 1, "divq": 1, "x": 1}))
+            relations = [Relation("x-square", t((_ONE, {"x": 2})),
+                                  t((_ONE, {"z1": 1, cxw: q, "x": 1})))]
+        relations.append(Relation("divided-class", t((_ONE, {"divq": 1})),
+                                  t((_ONE, {cxw: q}), (-_K1, {cxw: 1, "x": 1}))))
         rules += [
             RewriteRule("x-square", mono({"x": 2}), x_sq_rule),
             RewriteRule("euler-times-divided", mono({cw: 1, "divq": 1}),
@@ -744,18 +680,6 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
                           (-_UNIT_MINUS_KAPPA, {"z1": 1, "divq": 1})),
                         guard="admissible"),
         ]
-        relations += [
-            Relation("x-square", t((_ONE, {"x": 2})), x_sq),
-            Relation("euler-times-divided", t((_ONE, {cw: 1, "divq": 1})),
-                     t((_TAU, {"z00": 1, "z11": 1, cw: 1, "x": 1}))),
-            Relation("divided-class", t((_ONE, {"divq": 1})),
-                     t((_ONE, {cxw: q}), (-_K1, {cxw: 1, "x": 1}))),
-            Relation("twisted-euler", t((_ONE, {"z1": 1, cxw: 1})),
-                     t((_UNIT_MINUS_KAPPA, {"z00": 1, "z11": 1, cw: 1}),
-                       (_E2, {}))),
-        ]
-        derived = {"xp": t((_ONE, {"x": 1}),
-                           (-_UNIT_MINUS_KAPPA, {"z1": 1, "divq": 1}))}
         units = ()
         lemma_ansatz = ((_ONE, mono({"x": 1})), (_ONE, mono({"z1": 1, "divq": 1})),
                         (_E2, mono({cxw: q - 1})),
@@ -776,10 +700,9 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
     return SpacePresentation(
         name, family, q, group, und, rings, letters, order,
         invertible=("z1",) if q == 0 else (),
-        rules=rules, relations=relations, derived=derived, units=units,
+        rules=rules, relations=relations, units=units,
         lemma_ansatz=lemma_ansatz, lemma_expected=lemma_expected,
         pushforward_targets={"section": section_target},
-        inclusions=_quadric_inclusions(q, gr=gr),
         annihilator_pair=annihilator_pair)
 
 
@@ -796,15 +719,8 @@ def _build_q22() -> SpacePresentation:
     chi = group.element(2, omega={"00": 1, "11": 1})
     sigma2 = group.element(0, 2)
 
-    letters = {
-        "z00": Letter("z00", group.omega("00"), NonequivClass.unit(und),
-                      _point_profile(rings, 0, 1, 1, 1)),
-        "z11": Letter("z11", group.omega("11"), NonequivClass.unit(und),
-                      _point_profile(rings, 1, 0, 1, 1)),
-        "z01": Letter("z01", group.omega("01"), NonequivClass.unit(und),
-                      _point_profile(rings, 1, 1, 0, 1)),
-        "z10": Letter("z10", group.omega("10"), NonequivClass.unit(und),
-                      _point_profile(rings, 1, 1, 1, 0)),
+    letters, zeta_merge = _zeta_letters(group, und, rings)
+    letters.update({
         "cw": Letter("cw", omega_w, c_u, _point_profile(rings, 0, 0, 1, 1),
                      credits=("z00", "z11")),
         "cxw": Letter("cxw", chi, c_u, _point_profile(rings, 1, 1, 0, 0),
@@ -818,7 +734,7 @@ def _build_q22() -> SpacePresentation:
                      credits=("z11", "z01")),
         "x2": Letter("x2", sigma2, -x2_u, _point_profile(rings, 0, 1, -1, 0),
                      credits=("z00", "z10")),
-    }
+    })
 
     t = lambda *pairs: _terms(order, *pairs)
     mono = lambda exps: _mono_of(order, exps)
@@ -826,9 +742,7 @@ def _build_q22() -> SpacePresentation:
     zeta1 = {"z01": 1, "z10": 1}
 
     rules = (
-        RewriteRule("zeta-merge",
-                    mono({"z00": 1, "z11": 1, "z01": 1, "z10": 1}),
-                    t((_XI, {}))),
+        zeta_merge,
         RewriteRule("disjoint-sections-03", mono({"x": 1, "x0": 1}), ()),
         RewriteRule("disjoint-sections-21", mono({"x2": 1, "x1": 1}), ()),
         RewriteRule("x-square", mono({"x": 2}), t((_E2, {"x": 1}))),
@@ -849,20 +763,6 @@ def _build_q22() -> SpacePresentation:
                     t((_ONE, {"x": 1}), (-_ONE, dict(zeta0, cw=1))),
                     guard="admissible"),
     )
-    relations = (
-        Relation("zeta-product",
-                 t((_ONE, {"z00": 1, "z11": 1, "z01": 1, "z10": 1})),
-                 t((_XI, {}))),
-        Relation("x-square", t((_ONE, {"x": 2})), t((_E2, {"x": 1}))),
-        Relation("euler-product", t((_ONE, {"cw": 1, "cxw": 1})),
-                 t((_TAU, dict(zeta0, cw=1, x=1)))),
-    )
-    derived = {
-        "x0": t((_ONE, {"x": 1}), (-_E2, {})),
-        "x1": t((_ONE, {"x": 1}), (-_ONE, dict(zeta1, cxw=1))),
-        "x2": t((_ONE, {"x": 1}), (-_ONE, dict(zeta0, cw=1))),
-        "eps": t((_K1, dict(zeta0, cw=1))),
-    }
     pushforwards = {
         "i3": t((_ONE, {"x": 1})),
         "i2": t((-_UNIT_MINUS_KAPPA, {"x": 1}), (_ONE, dict(zeta0, cw=1)),
@@ -890,35 +790,11 @@ def _build_q22() -> SpacePresentation:
         "cxw_bundle": t((_ONE, {"cxw": 1})),
     }
 
-    x11 = load_presentation("X1q", 1)
-    tg = x11.group
-    zero = tg.zero()
-    mk = lambda exps: _mono_of(x11.letter_order, exps)
-    one_img, o0, o1 = mk({}), tg.omega("0"), tg.omega("1")
-    inclusions = {
-        "i0": Inclusion("i0", "X1q", 1,
-                        {"00": o0, "11": zero, "01": o1, "10": zero},
-                        {"z00": mk({"z0": 1}), "z11": one_img,
-                         "z01": mk({"z1": 1}), "z10": one_img}),
-        "i1": Inclusion("i1", "X1q", 1,
-                        {"00": o0, "11": zero, "01": zero, "10": o1},
-                        {"z00": mk({"z0": 1}), "z11": one_img,
-                         "z01": one_img, "z10": mk({"z1": 1})}),
-        "i2": Inclusion("i2", "X1q", 1,
-                        {"00": zero, "11": o0, "01": o1, "10": zero},
-                        {"z00": one_img, "z11": mk({"z0": 1}),
-                         "z01": mk({"z1": 1}), "z10": one_img}),
-        "i3": Inclusion("i3", "X1q", 1,
-                        {"00": zero, "11": o0, "01": zero, "10": o1},
-                        {"z00": one_img, "z11": mk({"z0": 1}),
-                         "z01": one_img, "z10": mk({"z1": 1})}),
-    }
     return SpacePresentation(
         "Q22", "Q22", None, group, und, rings, letters, order,
-        rules=rules, relations=relations, derived=derived,
-        pushforwards=pushforwards, pushforward_targets=pushforward_targets,
-        pushforward_ansatz=pushforward_ansatz,
-        identifications=identifications, inclusions=inclusions,
+        rules=rules, pushforwards=pushforwards,
+        pushforward_targets=pushforward_targets,
+        pushforward_ansatz=pushforward_ansatz, identifications=identifications,
         annihilator_pair=("x", "x0"))
 
 
@@ -967,7 +843,3 @@ def load_presentation(name: str, q: int | None = None) -> SpacePresentation:
 
 def coset_basis(space: SpacePresentation, key) -> tuple[Mono, ...]:
     return space.coset_basis(key)
-
-
-def generator_evaluation(space: SpacePresentation, name: str):
-    return space.generator_evaluation(name)

@@ -1,10 +1,15 @@
 """Surface syntax and subcommands: parse, print, run, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadrics
 from quadrics.burnside import BurnsideScalar
 from quadrics.cli import Expression, ParseError, parse, parse_nonequiv, run
 from quadrics.nonequiv import NonequivClass, TruncatedRing
@@ -107,6 +112,14 @@ def test_generated_expressions_round_trip():
         assert parse(str(expr)) == expr, str(expr)
 
 
+def test_monomials_keep_their_written_letter_order():
+    text = "tau4*cxl*xp^2 + e^2*z0^-1"
+    expr = parse(text)
+    assert expr.terms[0][1] == (("cxl", 1), ("xp", 2))
+    assert str(expr) == text
+    assert parse(str(expr)) == expr
+
+
 # --- subcommands ---
 
 def invoke(capsys, *argv):
@@ -140,6 +153,17 @@ def test_nf_binds_q_exponents(capsys):
     assert "q is not bound" in err
 
 
+def test_nf_reads_every_letter_of_the_space(capsys):
+    # the companion section classes of the four-point quadric
+    for expr in ("x0*x", "x1*x2"):
+        code, out, _ = invoke(capsys, "nf", "Q22", expr)
+        assert code == 0, expr
+        assert out.splitlines()[0] == "0"
+    code, _, err = invoke(capsys, "nf", "Q22", "foo*x")
+    assert code == 2
+    assert "'foo' is not a generator of Q22" in err
+
+
 def test_nf_error_exit_codes(capsys):
     assert invoke(capsys, "nf", "Q_BD", "--q", "2", "x*(1+")[0] == 2
     assert invoke(capsys, "nf", "Q_BD", "--q", "2", "cl*x")[0] == 2
@@ -152,7 +176,7 @@ def test_verify_text_output(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "ok   letter-degrees"
-    assert lines[-1] == "Q_BD(q=0): ok (13 checks)"
+    assert lines[-1] == "Q_BD(q=0): ok (10 checks)"
     assert all(line.startswith("ok   ") for line in lines[:-1])
 
 
@@ -241,6 +265,18 @@ def test_lines27_json_output(capsys):
         "free_pairs": 10, "invariant_lines": 6,
         "fixed_line_component": "00", "total": 27,
     }
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(quadrics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "quadrics", "lines27", "--json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["total"] == 27
 
 
 def test_unknown_space_is_an_argparse_error(capsys):

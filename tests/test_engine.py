@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from quadrics import engine
 from quadrics.burnside import BurnsideScalar, UnsolvableError
 from quadrics.engine import (
     AmbiguousSolveError, RingElement, multiply, normal_form, solve_in_basis,
@@ -45,11 +46,14 @@ def test_declared_relations_hold_under_multiplication():
     for name, q in [("Q_BD", 0), ("Q_BD", 3), ("Q_DD", 2), ("Q22", None),
                     ("Gr222", None), ("BU1", None), ("X1q", 2)]:
         sp = load_presentation(name, q)
-        for rel in sp.relations:
-            lhs = RingElement.from_terms(sp, rel.lhs)
+        sides = [(rel.name, rel.lhs, rel.rhs) for rel in sp.relations]
+        sides += [(rule.name, ((PointScalar.integer(1), rule.lhs),), rule.rhs)
+                  for rule in sp.rules]
+        for label, lhs_terms, rhs_terms in sides:
+            lhs = RingElement.from_terms(sp, lhs_terms)
             # a truncation relation may have an empty right-hand side
-            rhs = RingElement.from_terms(sp, rel.rhs, grading=lhs.grading)
-            assert normal_form(lhs) == normal_form(rhs), (sp.name, rel.name)
+            rhs = RingElement.from_terms(sp, rhs_terms, grading=lhs.grading)
+            assert normal_form(lhs) == normal_form(rhs), (sp.name, label)
 
 
 def test_declared_units_normalize_to_one():
@@ -161,6 +165,17 @@ def test_evaluation_is_multiplicative_and_cached():
     rw, fw = multiply(u, v).evaluate()
     assert rw == ru * rv and fw == fu * fv
     assert u.evaluate() is u.evaluate()
+
+
+def test_verify_reports_a_relation_whose_normal_form_raises(monkeypatch):
+    def broken(u):
+        raise UnsolvableError("no basis here")
+
+    monkeypatch.setattr(engine, "normal_form", broken)
+    report = verify_presentation(load_presentation("Q_BD", 1))
+    assert report["checks"]["relation:divided-class"] is False
+    assert "relation:divided-class: no basis here" in report["failures"]
+    assert report["ok"] is False
 
 
 def test_verify_presentation_report_shape():

@@ -1,12 +1,9 @@
-"""Grading groups: canonical forms, fixed profiles, cosets, restriction."""
+"""Grading groups: canonical forms, fixed profiles, coset keys."""
 
 from hypothesis import given, strategies as st
 
-from quadrics.grading import (
-    GradingGroup, canonicalize, from_offsets, restrict_along,
-)
+from quadrics.grading import GradingGroup
 
-PAIR = GradingGroup(["0", "1"])          # projective-line base, two fixed points
 ODD = GradingGroup(["00", "11", "1"])    # odd quadric: two points and a subquadric
 SPLIT = GradingGroup(["00", "11", "01", "10"])  # the four-point quadric
 
@@ -23,7 +20,7 @@ def test_relation_eliminates_last_label():
 
 def test_canonicalize_mixed_sum():
     # W_00 + W_11 + (2 + W_01 + W_10) = 2s on the four-point quadric
-    alpha = canonicalize(SPLIT, one=2, omega={"00": 1, "11": 1, "01": 1, "10": 1})
+    alpha = SPLIT.element(one=2, omega={"00": 1, "11": 1, "01": 1, "10": 1})
     assert alpha == SPLIT.element(sigma=2)
 
 
@@ -42,8 +39,6 @@ def test_fixed_degrees_of_omega():
 def test_underlying_forgets_omegas():
     alpha = ODD.element(one=3, sigma=2, omega={"00": 5, "1": -1})
     assert alpha.underlying_dim() == 5
-    beta = ODD.element(one=1, sigma=4)
-    assert beta.underlying_pair() == (1, 4)
 
 
 def test_coset_key_constant_on_ro_c2_translates():
@@ -54,23 +49,6 @@ def test_coset_key_constant_on_ro_c2_translates():
     diag = ODD.element(omega={"00": 1, "11": 1})
     key = alpha.coset_key()
     assert (alpha + diag).coset_key() == (key[0], key[1] - 1)
-
-
-def test_coset_offsets_examples():
-    m, beta = ODD.omega("11").coset_offsets()
-    assert m == (1,)
-    assert not any(beta.omega)
-    offs, beta = SPLIT.element(omega={"11": 3, "10": -2}).coset_offsets()
-    assert offs == (3, -2)
-    assert beta.is_bu1()
-
-
-def test_sigma_two_table_grading_is_bu1():
-    # the grading of the split quadric's distinguished generator
-    alpha = SPLIT.element(sigma=2)
-    offs, beta = alpha.coset_offsets()
-    assert offs == (0, 0)
-    assert beta == alpha
 
 
 grading_ints = st.integers(-8, 8)
@@ -84,20 +62,6 @@ def elements(draw, group):
     return group.element(one, sigma, omega)
 
 
-@given(elements(ODD))
-def test_offsets_recompose_odd(alpha):
-    offsets, beta = alpha.coset_offsets()
-    assert beta.is_bu1()
-    assert from_offsets(ODD, offsets, beta) == alpha
-
-
-@given(elements(SPLIT))
-def test_offsets_recompose_split(alpha):
-    offsets, beta = alpha.coset_offsets()
-    assert beta.is_bu1()
-    assert from_offsets(SPLIT, offsets, beta) == alpha
-
-
 @given(elements(ODD), elements(ODD))
 def test_profiles_additive(a, b):
     s = a + b
@@ -105,23 +69,6 @@ def test_profiles_additive(a, b):
     for (la, da), (_, db), (_, ds) in zip(a.fixed_profile(), b.fixed_profile(),
                                           s.fixed_profile()):
         assert ds == da + db
-
-
-def test_restrict_along_collapse_to_pair():
-    # restriction table of the inclusion of a fixed quadrant pair:
-    # W_00 -> W_0, W_01 -> W_1, the other diagonals -> 0
-    images = {
-        "00": PAIR.omega("0"),
-        "11": PAIR.zero(),
-        "01": PAIR.omega("1"),
-        "10": PAIR.zero(),
-    }
-    alpha = SPLIT.element(one=2, omega={"00": 1, "11": 1})  # the chi-omega class
-    res = restrict_along(alpha, images, PAIR)
-    assert res == PAIR.element(one=2, omega={"0": 1})
-    # gradings of sums restrict additively
-    beta = SPLIT.element(sigma=2)
-    assert restrict_along(alpha + beta, images, PAIR) == res + PAIR.element(sigma=2)
 
 
 def test_render_ascii():

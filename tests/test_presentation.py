@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from quadrics.cli import ZETA_NAMES, parse
 from quadrics.nonequiv import NonequivClass
 from quadrics.presentation import (
-    SpacePresentation, coset_basis, generator_evaluation, load_presentation,
-    mono_mul, mono_str,
+    SpacePresentation, coset_basis, load_presentation, mono_mul, mono_str,
 )
+from quadrics.scalars import PointScalar
 
 ALL_SPACES = (
     [("BU1", None), ("Q22", None), ("Gr222", None)]
@@ -64,6 +65,30 @@ def test_letter_orders():
         "z00", "z11", "z1", "cw", "cxw", "divq", "x", "xp")
     assert load_presentation("Gr222").letter_order == (
         "z00", "z11", "z1", "cl", "cxl", "divq", "x", "xp")
+
+
+def test_zeta_letters_follow_the_component_labels():
+    for sp in spaces():
+        zetas = [n for n in sp.letter_order if n in ZETA_NAMES]
+        assert zetas == [f"z{label}" for label in sp.group.labels], sp.name
+        assert sp.letter_order[:len(zetas)] == tuple(zetas), sp.name
+
+
+def test_no_letter_is_read_as_a_scalar():
+    # g, kappa, e, xi, tau<n> and q are the surface syntax's own names
+    one = PointScalar.integer(1)
+    for sp in spaces():
+        for name in sp.letter_order:
+            assert parse(name).terms == ((one, ((name, 1),)),), (sp.name, name)
+
+
+def test_relations_state_only_what_no_rule_says():
+    one = PointScalar.integer(1)
+    for sp in spaces():
+        rule_sides = {(((one, rule.lhs),), rule.rhs) for rule in sp.rules}
+        for rel in sp.relations:
+            assert (rel.lhs, rel.rhs) not in rule_sides, (sp.name, rel.name)
+        assert not set(sp.derived) & set(sp.letters), sp.name
 
 
 def test_mono_constructor_and_printer():
@@ -143,18 +168,18 @@ def test_generator_evaluation_samples():
     und = bd2.underlying
     y = NonequivClass.from_exponents(und, (0, 1))
     c = NonequivClass.from_exponents(und, (1, 0))
-    r, f = generator_evaluation(bd2, "x")
+    r, f = bd2.eval_mono(bd2.mono(x=1))
     assert r == y and str(f) == "(0, 1, y)"
-    r, f = generator_evaluation(bd2, "xp")
+    r, f = bd2.eval_mono(bd2.mono(xp=1))
     assert r == y and str(f) == "(1, 0, y)"
-    r, f = generator_evaluation(bd2, "divq")
+    r, f = bd2.eval_mono(bd2.mono(divq=1))
     assert r == c * c and str(f) == "(1, -1, 0)"
-    r, f = generator_evaluation(bd2, "z00")
+    r, f = bd2.eval_mono(bd2.mono(z00=1))
     assert r == NonequivClass.unit(und) and str(f) == "(0, 1, 1)"
 
     q22 = load_presentation("Q22")
-    assert str(generator_evaluation(q22, "x")[1]) == "(0, 1, 0, 1)"
-    r, _ = generator_evaluation(q22, "cw")
+    assert str(q22.eval_mono(q22.mono(x=1))[1]) == "(0, 1, 0, 1)"
+    r, _ = q22.eval_mono(q22.mono(cw=1))
     x1 = NonequivClass.from_exponents(q22.underlying, (1, 0))
     x2 = NonequivClass.from_exponents(q22.underlying, (0, 1))
     assert r == x1 + x2

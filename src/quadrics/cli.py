@@ -21,6 +21,10 @@ admissibility check -- and on e when a kappa factor is present in the
 same term (kappa*e^-2k is the k-th divided kappa class).  The exponent
 letter q stands for the space parameter bound by --q.
 
+The evaluation targets of solve (--rho, --fix) are read with the same
+grammar, as polynomials in the target ring's variables: every term must
+have an integer coefficient and non-negative powers of those variables.
+
 Subcommands:
 
     verify <space> [--q N]                     re-derive the presentation
@@ -32,8 +36,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed verification or unsolvable targets,
 2 usage or parse errors.  --json switches every subcommand to a stable
-JSON rendering carrying a versioned "schema" key.  The environment
-variable QUADRICS_STEP_BOUND overrides the rewriting step bound.
+JSON rendering carrying a versioned "schema" key.
 """
 
 from __future__ import annotations
@@ -355,69 +358,32 @@ def parse(text: str, q: int | None = None) -> Expression:
     return Expression(terms)
 
 
-# --------------------------------------------------------------------------
-# the secondary, nonequivariant expression language (--rho / --fix)
-# --------------------------------------------------------------------------
-
 def parse_nonequiv(text: str, ring: TruncatedRing,
                    q: int | None = None) -> NonequivClass:
-    """Parse a polynomial in the ring's own variables (plus integers)."""
-    parser = _Parser(text, q)
-    value = _ne_expr(parser, ring)
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-    return value
+    """Parse an evaluation target: a polynomial in the ring's variables.
 
-
-def _ne_expr(p: _Parser, ring: TruncatedRing) -> NonequivClass:
-    negate = False
-    if p.peek()[0] == "-":
-        p.take()
-        negate = True
-    value = _ne_term(p, ring)
-    if negate:
-        value = -value
-    while p.peek()[0] in ("+", "-"):
-        op, _, _ = p.take()
-        rhs = _ne_term(p, ring)
-        value = value - rhs if op == "-" else value + rhs
-    return value
-
-
-def _ne_term(p: _Parser, ring: TruncatedRing) -> NonequivClass:
-    value = _ne_factor(p, ring)
-    while p.peek()[0] == "*":
-        p.take()
-        value = value * _ne_factor(p, ring)
-    return value
-
-
-def _ne_factor(p: _Parser, ring: TruncatedRing) -> NonequivClass:
-    kind, text, column = p.take()
-    if kind == "(":
-        value = _ne_expr(p, ring)
-        p.expect(")")
-    elif kind == "int":
-        value = NonequivClass.from_exponents(
-            ring, (0,) * len(ring.vars), int(text))
-    elif kind == "name":
-        if text not in ring.vars:
-            raise ParseError(f"unknown variable {text!r}; this ring has "
-                             f"variables {list(ring.vars) or 'none'}", column)
-        raw = tuple(1 if v == text else 0 for v in ring.vars)
-        value = NonequivClass.from_exponents(ring, raw)
-    else:
-        raise ParseError(f"unexpected {text!r}", column)
-    if p.peek()[0] == "^":
-        exponent = p.exponent()
-        if exponent < 0:
-            raise ParseError("negative power in an evaluation target", column)
-        out = NonequivClass.from_exponents(ring, (0,) * len(ring.vars), 1)
-        for _ in range(exponent):
-            out = out * value
-        value = out
-    return value
+    `parse` reads the text; every term must then have an integer scalar
+    and only non-negative powers of the ring's variables.
+    """
+    total = NonequivClass.zero(ring)
+    for scalar, mono in parse(text, q).terms:
+        exps = dict(mono)
+        foreign = [name for name in exps if name not in ring.vars]
+        if scalar.shape() != (0, 0, 0, 0) or scalar.coeff.b:
+            problem = f"the coefficient {scalar} is not an integer"
+        elif foreign:
+            problem = (f"unknown variable {foreign[0]!r}; this ring has "
+                       f"variables {list(ring.vars) or 'none'}")
+        elif any(exp < 0 for exp in exps.values()):
+            problem = "negative power in an evaluation target"
+        else:
+            raw = tuple(exps.get(var, 0) for var in ring.vars)
+            total = total + NonequivClass.from_exponents(ring, raw, scalar.coeff.a)
+            continue
+        column = next((col for kind, name, col in _tokenize(text)
+                       if kind == "name" and name not in ring.vars), 1)
+        raise ParseError(problem, column)
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -467,6 +433,11 @@ def _infer_grading(space: SpacePresentation, key: tuple[int, ...],
                    rho: NonequivClass, fix: FixedTuple, degree):
     """Reconstruct the full degree from the coset key and target degrees."""
     labels = space.group.labels
+    targets = [("--rho", rho)] + [(f"--fix component {label}", part)
+                                  for label, part in zip(labels, fix.parts)]
+    for flag, target in targets:
+        if target and target.homogeneous_degree() is None:
+            raise ValueError(f"the {flag} target {target} is not homogeneous")
     base = -key[-1]
     omega = {labels[0]: base}
     for label, offset in zip(labels[1:], key):

@@ -2,22 +2,22 @@
 
 Elements are finite sums of point-ring scalars against admissible
 monomials in the space's letters, homogeneous in the full grading.
-Products are computed by running the presentation's rewrite rules to a
-fixpoint and then, when the result is not already supported on the
-coset table, solving for the unique basis combination with the same
-evaluation.  The same solver, fed the complementary section's own
-evaluation or a declared pushforward target instead, is what turns the
-stated section/pushforward lemmas into machine checks:
-`verify_presentation` replays all of them.
+Products are computed by running the presentation's declared rewrite
+rules, and nothing else, to a fixpoint and then, when the result is not
+already supported on the coset table, solving for the unique basis
+combination with the same evaluation.  The same solver, fed the
+complementary section's own evaluation or a declared pushforward target
+instead, is what turns the stated section/pushforward lemmas into
+machine checks: `verify_presentation` replays all of them.
 
-Rewriting is bounded by the QUADRICS_STEP_BOUND environment variable
-(default 10000 rule applications per product) and fails loudly rather
-than silently truncating.
+Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
+applications per product) and fails loudly rather than silently
+truncating; so does a product re-solved from an evaluation pair that
+does not pin it down, once its scalars leave the point-ring fragment.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -31,10 +31,6 @@ from .presentation import (FixedTuple, Mono, SpacePresentation, Terms,
 from .scalars import (ONE, FragmentError, PointScalar, scalar_dressing)
 
 DEFAULT_STEP_BOUND = 10_000
-
-
-def _step_bound() -> int:
-    return int(os.environ.get("QUADRICS_STEP_BOUND", DEFAULT_STEP_BOUND))
 
 
 def _has_additive_op(text: str) -> bool:
@@ -230,25 +226,7 @@ def _applicable_rule(space: SpacePresentation, mono: Mono):
     return None
 
 
-_DIVIDED_SQUARES: dict[tuple, Terms] = {}
-
-
-def _divided_square(space: SpacePresentation) -> Terms:
-    """divq^2 re-expanded over the basis; computed once per space by solving."""
-    key = (space.name, space.q)
-    expansion = _DIVIDED_SQUARES.get(key)
-    if expansion is None:
-        mono = space.mono(divq=2)
-        grading = space.mono_grading(mono)
-        rho, fix = space.eval_mono(mono)
-        element = solve_in_basis(space, grading, rho, fix)
-        expansion = element.sorted_terms()
-        _DIVIDED_SQUARES[key] = expansion
-    return expansion
-
-
 def _rewrite(space: SpacePresentation, terms: Mapping[Mono, PointScalar]) -> dict[Mono, PointScalar]:
-    bound = _step_bound()
     steps = 0
     out: dict[Mono, PointScalar] = {}
     work = [(m, s) for m, s in terms.items()]
@@ -258,14 +236,9 @@ def _rewrite(space: SpacePresentation, terms: Mapping[Mono, PointScalar]) -> dic
         if not scalar:
             continue
         steps += 1
-        if steps > bound:
-            raise RuntimeError(
-                f"rewriting exceeded QUADRICS_STEP_BOUND={bound} steps in {space.name}")
-        if dict(mono).get("divq", 0) >= 2:
-            rest = mono_mul(mono, (("divq", -2),), order)
-            for s2, delta in _divided_square(space):
-                work.append((mono_mul(rest, delta, order), scalar * s2))
-            continue
+        if steps > DEFAULT_STEP_BOUND:
+            raise RuntimeError(f"rewriting exceeded DEFAULT_STEP_BOUND="
+                               f"{DEFAULT_STEP_BOUND} steps in {space.name}")
         rule = _applicable_rule(space, mono)
         if rule is None:
             _accumulate(out, mono, scalar)
@@ -312,10 +285,10 @@ def multiply(u: RingElement, v: RingElement) -> RingElement:
         return _canonical(space, grading, _rewrite(space, raw))
     except FragmentError:
         # The termwise scalars left the implemented point-ring fragment;
-        # the product itself is still determined by its evaluation.
+        # the product is determined by its evaluation when that is unique.
         ru, fu = u.evaluate()
         rv, fv = v.evaluate()
-        return solve_in_basis(space, grading, ru * rv, fu * fv)
+        return solve_in_basis(space, grading, ru * rv, fu * fv, ambiguity="raise")
 
 
 def scalar_multiple(u: RingElement, scalar: PointScalar) -> RingElement:
@@ -329,7 +302,7 @@ def scalar_multiple(u: RingElement, scalar: PointScalar) -> RingElement:
         rho, fix = u.evaluate()
         return solve_in_basis(u.space, grading,
                               scalar.rho_multiplier() * rho,
-                              fix * scalar.fix_multiplier())
+                              fix * scalar.fix_multiplier(), ambiguity="raise")
 
 
 def normal_form(u: RingElement) -> RingElement:
@@ -337,7 +310,7 @@ def normal_form(u: RingElement) -> RingElement:
         return _canonical(u.space, u.grading, _rewrite(u.space, dict(u.terms)))
     except FragmentError:
         rho, fix = u.evaluate()
-        return solve_in_basis(u.space, u.grading, rho, fix)
+        return solve_in_basis(u.space, u.grading, rho, fix, ambiguity="raise")
 
 
 def tau_transfer(u: RingElement, j: int = 1) -> RingElement:
@@ -618,14 +591,15 @@ def verify_presentation(space: SpacePresentation) -> dict:
 
     if space.lemma_ansatz is not None:
         # the complementary section class, re-solved from its own evaluation
+        # and compared with the right side of its expansion rule
         xp = space.mono(xp=1)
+        xp_rule = next(r for r in space.rules if r.name == "xp-expansion")
         rho, fix = space.eval_mono(xp)
         grading = space.mono_grading(xp)
         try:
             solved, _, _ = solve_with_coefficients(space, grading, rho, fix,
                                                 ansatz=space.lemma_ansatz)
-            expected = RingElement.from_terms(space, space.lemma_expected,
-                                              grading=grading)
+            expected = RingElement.from_terms(space, xp_rule.rhs, grading=grading)
             record("section-class", solved == expected)
         except UnsolvableError as err:
             record("section-class", False, str(err))

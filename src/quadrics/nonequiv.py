@@ -106,11 +106,6 @@ class TruncatedRing:
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def proj_line() -> "TruncatedRing":
-        return TruncatedRing.truncated_poly(2, "P1", "x")
-
-    @staticmethod
-    @lru_cache(maxsize=None)
     def truncated_poly(n: int, name: str | None = None, var: str = "c") -> "TruncatedRing":
         if n < 1:
             raise ValueError("truncation length must be positive")

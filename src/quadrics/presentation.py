@@ -13,7 +13,13 @@ A SpacePresentation bundles, for one space,
     relations that no rule already says in the same form, unit pairs and
     section/pushforward data,
   * additive coset tables: a finite free-module basis over the point
-    ring for every coset of the RO(C2)-plus-base-class grading lattice.
+    ring for every coset of the RO(C2)-plus-base-class grading lattice,
+  * a fibre map writing the letters z0 z1 cw cxw divq of the bundle with
+    fibre P(C + C^q sigma) over BU1 in the space's own letters; the
+    bundle's reduction rules and coset slots are stated once and lifted.
+
+Where divq exists, its square is the first rule, divided-square, in one
+closed form per family; verify checks it against evaluation.
 
 Five families are available through load_presentation:
 
@@ -51,6 +57,9 @@ _XI = PointScalar.xi_power(1)
 _TAU = PointScalar.tau_power(1)
 _K1 = PointScalar.kappa_negative(1)  # e^-2 kappa
 _UNIT_MINUS_KAPPA = PointScalar.from_burnside(ONE_MINUS_KAPPA)
+
+# The fibre map of BU1 and X1q, which carry the bundle letters themselves.
+_IDENTITY_FIBRE = {name: (name,) for name in ("z0", "z1", "cw", "cxw", "divq")}
 
 
 class FixedTuple:
@@ -167,6 +176,16 @@ def mono_mul(a: Mono, b: Mono, order: tuple[str, ...]) -> Mono:
     return _mono_of(order, out)
 
 
+def _lift(fibre: Mapping[str, tuple[str, ...]], order: tuple[str, ...],
+          slot: Mapping[str, int], extra: Mapping[str, int] | None = None) -> Mono:
+    """Lift a monomial over the fibre letters z0 z1 cw cxw divq, times `extra`."""
+    out = dict(extra or {})
+    for name, exp in slot.items():
+        for own in fibre[name]:
+            out[own] = out.get(own, 0) + exp
+    return _mono_of(order, out)
+
+
 def mono_str(m: Mono) -> str:
     if not m:
         return "1"
@@ -180,7 +199,7 @@ class SpacePresentation:
     __slots__ = (
         "name", "family", "q", "group", "underlying", "fixed_rings",
         "letters", "letter_order", "invertible", "rules", "relations",
-        "derived", "units", "lemma_ansatz", "lemma_expected",
+        "derived", "units", "lemma_ansatz", "fibre",
         "pushforwards", "pushforward_targets", "pushforward_ansatz",
         "identifications", "annihilator_pair",
         "_table_cache", "_eval_cache", "_grading_cache",
@@ -188,8 +207,8 @@ class SpacePresentation:
 
     def __init__(self, name, family, q, group, underlying, fixed_rings,
                  letters, letter_order, invertible=(), rules=(), relations=(),
-                 derived=None, units=(), lemma_ansatz=None, lemma_expected=None,
-                 pushforwards=None, pushforward_targets=None,
+                 derived=None, units=(), lemma_ansatz=None,
+                 fibre=_IDENTITY_FIBRE, pushforwards=None, pushforward_targets=None,
                  pushforward_ansatz=None, identifications=None,
                  annihilator_pair=None):
         self.name = name
@@ -206,7 +225,7 @@ class SpacePresentation:
         self.derived = dict(derived or {})
         self.units = tuple(units)
         self.lemma_ansatz = lemma_ansatz
-        self.lemma_expected = lemma_expected
+        self.fibre = fibre
         self.pushforwards = dict(pushforwards or {})
         self.pushforward_targets = dict(pushforward_targets or {})
         self.pushforward_ansatz = pushforward_ansatz
@@ -290,7 +309,7 @@ class SpacePresentation:
         if self.family == "X1q":
             if len(key) != 1:
                 raise ValueError(f"expected a 1-component coset key, got {key}")
-            monos = [self.mono(s) for s in
+            monos = [self._fibre_mono(s) for s in
                      _x1q_slots(key[0], self.q, has_divq=False)]
         elif self.family in ("BD", "DD", "Gr"):
             if len(key) != 2:
@@ -332,21 +351,9 @@ class SpacePresentation:
     def _depth(self) -> int:
         return self.q if self.family == "BD" else self.q - 1
 
-    def _fibre_mono(self, slot: Mapping[str, int], extra: Mapping[str, int]) -> Mono:
-        """A fibre-bundle slot over z0 z1 cw cxw divq, written in the quadric."""
-        cw, cxw = ("cl", "cxl") if self.family == "Gr" else ("cw", "cxw")
-        out = dict(extra)
-        for name, exp in slot.items():
-            if name == "z0":
-                out["z00"] = out.get("z00", 0) + exp
-                out["z11"] = out.get("z11", 0) + exp
-            elif name == "cw":
-                out[cw] = out.get(cw, 0) + exp
-            elif name == "cxw":
-                out[cxw] = out.get(cxw, 0) + exp
-            else:
-                out[name] = out.get(name, 0) + exp
-        return self.mono(out)
+    def _fibre_mono(self, slot: Mapping[str, int],
+                    extra: Mapping[str, int] | None = None) -> Mono:
+        return _lift(self.fibre, self.letter_order, slot, extra)
 
     def _quadric_coset(self, key: tuple[int, int]) -> list[Mono]:
         m, n = key
@@ -368,25 +375,6 @@ class SpacePresentation:
     def _q22_coset(self, key: tuple[int, int, int]) -> list[Mono]:
         k1, k2, k3 = key
         m, n = k1, k3 - k2
-
-        def sub(slot: Mapping[str, int], extra: Mapping[str, int]) -> Mono:
-            out = dict(extra)
-            adds = []
-            for name, exp in slot.items():
-                if name == "z0":
-                    adds += [("z00", exp), ("z11", exp)]
-                elif name == "z1":
-                    adds += [("z01", exp), ("z10", exp)]
-                elif name == "divq":
-                    # The fibre slot divisible by the off-diagonal class is
-                    # carried by cxw here, which that class divides.
-                    adds += [("cxw", exp)]
-                else:
-                    adds += [(name, exp)]
-            for name, exp in adds:
-                out[name] = out.get(name, 0) + exp
-            return self.mono(out)
-
         prefix = {"z11": m} if m >= 0 else {"z00": -m}
         if n >= 0:
             prefix["z10"] = n
@@ -396,14 +384,16 @@ class SpacePresentation:
         kappa_off = k2 - pk[1]
         if k3 - pk[2] != kappa_off:
             raise AssertionError(f"incoherent coset key {key}")
-        monos = [sub(s, prefix) for s in _x1q_slots(kappa_off, 1, has_divq=True)]
+        monos = [self._fibre_mono(s, prefix)
+                 for s in _x1q_slots(kappa_off, 1, has_divq=True)]
 
         x_prefix = {"z00": -m, "z01": -n, "x": 1}
         pk = self.mono_grading(self.mono(x_prefix)).coset_key()
         s_off = k2 - pk[1]
         if k3 - pk[2] != s_off:
             raise AssertionError(f"incoherent coset key {key}")
-        monos += [sub(s, x_prefix) for s in _x1q_slots(s_off, 1, has_divq=True)]
+        monos += [self._fibre_mono(s, x_prefix)
+                  for s in _x1q_slots(s_off, 1, has_divq=True)]
         return monos
 
     # --- serialization ---
@@ -486,6 +476,18 @@ def _terms(order: tuple[str, ...], *pairs) -> Terms:
     return tuple((scalar, _mono_of(order, exps)) for scalar, exps in pairs)
 
 
+def _fibre_rules(fibre: Mapping[str, tuple[str, ...]],
+                 order: tuple[str, ...]) -> tuple[RewriteRule, RewriteRule]:
+    """The bundle's twisted Euler and diagonal square reductions, lifted."""
+    lift = lambda exps: _lift(fibre, order, exps)
+    return (
+        RewriteRule("twisted-euler-reduction", lift({"z1": 1, "cxw": 1}),
+                    ((_UNIT_MINUS_KAPPA, lift({"z0": 1, "cw": 1})), (_E2, ()))),
+        RewriteRule("diagonal-square-reduction", lift({"z0": 2, "cw": 1}),
+                    ((_XI, lift({"cxw": 1})), (_E2, lift({"z0": 1})))),
+    )
+
+
 def _zeta_letters(group: GradingGroup, und: TruncatedRing,
                   rings) -> tuple[dict[str, Letter], RewriteRule]:
     """The zeta letter z<c> of every fixed component c, and their merge rule.
@@ -525,15 +527,7 @@ def _build_bu1() -> SpacePresentation:
     letters["cxw"] = Letter("cxw", group.element(2, omega={"0": 1}), c,
                             _point_profile(rings, 1, _cls(f1, 1)))
     t = lambda *pairs: _terms(order, *pairs)
-    rules = (
-        zeta_merge,
-        RewriteRule("twisted-euler-reduction",
-                    _mono_of(order, {"z1": 1, "cxw": 1}),
-                    t((_UNIT_MINUS_KAPPA, {"z0": 1, "cw": 1}), (_E2, {}))),
-        RewriteRule("diagonal-square-reduction",
-                    _mono_of(order, {"z0": 2, "cw": 1}),
-                    t((_XI, {"cxw": 1}), (_E2, {"z0": 1}))),
-    )
+    rules = (zeta_merge, *_fibre_rules(_IDENTITY_FIBRE, order))
     units = (
         ("unit-0", t((_ONE, {}), (-_K1, {"z0": 1, "cw": 1})),
          t((_UNIT_MINUS_KAPPA, {}), (_K1, {"z1": 1, "cxw": 1}))),
@@ -560,17 +554,9 @@ def _build_x1q(q: int) -> SpacePresentation:
             "cxw", group.element(2, omega={"0": 1}), c,
             _point_profile(rings, 1, _cls(rings[1], 1)),
             credits=("z1",) if q == 1 else ())
-        t = lambda *pairs: _terms(order, *pairs)
-        rules += [
-            RewriteRule("fibre-truncation",
-                        _mono_of(order, {"cw": 1, "cxw": q}), ()),
-            RewriteRule("twisted-euler-reduction",
-                        _mono_of(order, {"z1": 1, "cxw": 1}),
-                        t((_UNIT_MINUS_KAPPA, {"z0": 1, "cw": 1}), (_E2, {}))),
-            RewriteRule("diagonal-square-reduction",
-                        _mono_of(order, {"z0": 2, "cw": 1}),
-                        t((_XI, {"cxw": 1}), (_E2, {"z0": 1}))),
-        ]
+        rules += [RewriteRule("fibre-truncation",
+                              _mono_of(order, {"cw": 1, "cxw": q}), ()),
+                  *_fibre_rules(_IDENTITY_FIBRE, order)]
     return SpacePresentation(
         f"X1q(q={q})", "X1q", q, group, und, rings, letters, order,
         invertible=("z1",) if q == 0 else (), rules=rules)
@@ -630,61 +616,57 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
 
     t = lambda *pairs: _terms(order, *pairs)
     mono = lambda exps: _mono_of(order, exps)
+    fibre = {"z0": ("z00", "z11"), "z1": ("z1",), "cw": (cw,), "cxw": (cxw,),
+             "divq": ("divq",)}
 
-    rules = [zeta_merge]
-
-    if family == "BD":
-        if q == 0:
-            xp_rule = RewriteRule("xp-expansion", mono({"xp": 1}),
-                                  t((_UNIT_MINUS_KAPPA, {"x": 1}), (_E2, {})),
-                                  guard="admissible")
-            rules += [
-                RewriteRule("section-vanishing", mono({"x": 1, "xp": 1}), ()),
-                RewriteRule("x-square", mono({"x": 2}), t((_E2, {"x": 1}))),
-                RewriteRule("euler-transfer", mono({cw: 1}),
-                            t((_TAU, {"z1": 1, "x": 1}))),
-                xp_rule,
-            ]
-            relations = [
-                Relation("euler-transfer",
-                         t((_ONE, {cw: 1}), (-_K1, {cw: 1, "x": 1})),
-                         t((_TAU, {"z1": 1, "x": 1}))),
-            ]
-            units = (("section-unit", t((_ONE, {}), (-_K1, {"x": 1})),
-                      t((_ONE, {}), (-_K1, {"x": 1}))),)
-            lemma_ansatz = ((_ONE, mono({"x": 1})), (_E2, mono({})))
-        else:
-            xp_rule = RewriteRule("xp-expansion", mono({"xp": 1}),
-                                  t((_ONE, {"x": 1}), (_E2, {"divq": 1})),
-                                  guard="admissible")
-            rules += [
-                RewriteRule("section-vanishing", mono({"x": 1, "xp": 1}), ()),
-                # x-square, oriented at the divided-class basis slot
-                RewriteRule("x-square", mono({"x": 2}),
-                            t((-_E2, {"divq": 1, "x": 1}))),
-                RewriteRule("euler-times-divided", mono({cw: 1, "divq": 1}),
-                            t((_TAU, {"z1": 1, "x": 1}))),
-                RewriteRule("chi-euler-to-divided", mono({cxw: q}),
-                            t((_ONE, {"divq": 1}), (_K1, {"x": 1}))),
-                RewriteRule("twisted-euler-reduction", mono({"z1": 1, cxw: 1}),
-                            t((_UNIT_MINUS_KAPPA, {"z00": 1, "z11": 1, cw: 1}),
-                              (_E2, {}))),
-                RewriteRule("diagonal-square-reduction",
-                            mono({"z00": 2, "z11": 2, cw: 1}),
-                            t((_XI, {cxw: 1}), (_E2, {"z00": 1, "z11": 1}))),
-                xp_rule,
-            ]
-            relations = [
-                Relation("x-square", t((_ONE, {"x": 2})),
-                         t((_E2, {cxw: q, "x": 1}))),
-                Relation("divided-class", t((_ONE, {"divq": 1})),
-                         t((_ONE, {cxw: q}), (-_K1, {"x": 1}))),
-            ]
-            units = ()
-            lemma_ansatz = ((_ONE, mono({"x": 1})), (_E2, mono({"divq": 1})),
-                            (_K1, mono({"z00": 1, "z11": 1, cw: 1, "x": 1})))
-        lemma_expected = xp_rule.rhs
-        annihilator_pair = ("x", "xp")
+    if family == "BD" and q == 0:
+        rules = [
+            zeta_merge,
+            RewriteRule("section-vanishing", mono({"x": 1, "xp": 1}), ()),
+            RewriteRule("x-square", mono({"x": 2}), t((_E2, {"x": 1}))),
+            RewriteRule("euler-transfer", mono({cw: 1}),
+                        t((_TAU, {"z1": 1, "x": 1}))),
+            RewriteRule("xp-expansion", mono({"xp": 1}),
+                        t((_UNIT_MINUS_KAPPA, {"x": 1}), (_E2, {})),
+                        guard="admissible"),
+        ]
+        relations = [
+            Relation("euler-transfer",
+                     t((_ONE, {cw: 1}), (-_K1, {cw: 1, "x": 1})),
+                     t((_TAU, {"z1": 1, "x": 1}))),
+        ]
+        units = (("section-unit", t((_ONE, {}), (-_K1, {"x": 1})),
+                  t((_ONE, {}), (-_K1, {"x": 1}))),)
+        lemma_ansatz = ((_ONE, mono({"x": 1})), (_E2, mono({})))
+    elif family == "BD":
+        rules = [
+            RewriteRule("divided-square", mono({"divq": 2}),
+                        t((-_K1, {"divq": 1, "x": 1}),
+                          (_TAU, {"z00": 1, "z11": 1, cxw: q - 1, "x": 1}),
+                          (PointScalar.e_power(2 * q), {"z1": -q, "divq": 1}))),
+            zeta_merge,
+            RewriteRule("section-vanishing", mono({"x": 1, "xp": 1}), ()),
+            # x-square, oriented at the divided-class basis slot
+            RewriteRule("x-square", mono({"x": 2}),
+                        t((-_E2, {"divq": 1, "x": 1}))),
+            RewriteRule("euler-times-divided", mono({cw: 1, "divq": 1}),
+                        t((_TAU, {"z1": 1, "x": 1}))),
+            RewriteRule("chi-euler-to-divided", mono({cxw: q}),
+                        t((_ONE, {"divq": 1}), (_K1, {"x": 1}))),
+            *_fibre_rules(fibre, order),
+            RewriteRule("xp-expansion", mono({"xp": 1}),
+                        t((_ONE, {"x": 1}), (_E2, {"divq": 1})),
+                        guard="admissible"),
+        ]
+        relations = [
+            Relation("x-square", t((_ONE, {"x": 2})),
+                     t((_E2, {cxw: q, "x": 1}))),
+            Relation("divided-class", t((_ONE, {"divq": 1})),
+                     t((_ONE, {cxw: q}), (-_K1, {"x": 1}))),
+        ]
+        units = ()
+        lemma_ansatz = ((_ONE, mono({"x": 1})), (_E2, mono({"divq": 1})),
+                        (_K1, mono({"z00": 1, "z11": 1, cw: 1, "x": 1})))
     else:
         # Even quadrics: x and the disjoint section xp kill each other, but
         # the annihilator of x is not principal on xp (no vanishing pair).
@@ -705,18 +687,18 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
                                   t((_ONE, {"z1": 1, cxw: q, "x": 1})))]
         relations.append(Relation("divided-class", t((_ONE, {"divq": 1})),
                                   t((_ONE, {cxw: q}), (-_K1, {cxw: 1, "x": 1}))))
-        rules += [
+        rules = [
+            RewriteRule("divided-square", mono({"divq": 2}),
+                        t((PointScalar.e_power(2 * q), {"z1": -q, "divq": 1}),
+                          (_UNIT_MINUS_KAPPA + _UNIT_MINUS_KAPPA,
+                           {"z1": -1, "divq": 1, "x": 1}))),
+            zeta_merge,
             RewriteRule("x-square", mono({"x": 2}), x_sq_rule),
             RewriteRule("euler-times-divided", mono({cw: 1, "divq": 1}),
                         t((_TAU, {"z00": 1, "z11": 1, cw: 1, "x": 1}))),
             RewriteRule("chi-euler-to-divided", mono({cxw: q}),
                         t((_ONE, {"divq": 1}), (_K1, {cxw: 1, "x": 1}))),
-            RewriteRule("twisted-euler-reduction", mono({"z1": 1, cxw: 1}),
-                        t((_UNIT_MINUS_KAPPA, {"z00": 1, "z11": 1, cw: 1}),
-                          (_E2, {}))),
-            RewriteRule("diagonal-square-reduction",
-                        mono({"z00": 2, "z11": 2, cw: 1}),
-                        t((_XI, {cxw: 1}), (_E2, {"z00": 1, "z11": 1}))),
+            *_fibre_rules(fibre, order),
             RewriteRule("xp-expansion", mono({"xp": 1}), xp_rhs,
                         guard="admissible"),
         ]
@@ -724,16 +706,14 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
         lemma_ansatz = ((_ONE, mono({"x": 1})), (_ONE, mono({"z1": 1, "divq": 1})),
                         (_E2, mono({cxw: q - 1})),
                         (_K1, mono({"z00": 1, "z11": 1, cw: 1, "x": 1})))
-        lemma_expected = xp_rhs
-        annihilator_pair = None
 
     name = {"BD": f"Q_BD(q={q})", "DD": f"Q_DD(q={q})", "Gr": "Gr222"}[family]
     return SpacePresentation(
         name, family, q, group, und, rings, letters, order,
         invertible=("z1",) if q == 0 else (),
         rules=rules, relations=relations, units=units,
-        lemma_ansatz=lemma_ansatz, lemma_expected=lemma_expected,
-        annihilator_pair=annihilator_pair)
+        lemma_ansatz=lemma_ansatz, fibre=fibre,
+        annihilator_pair=("x", "xp") if family == "BD" else None)
 
 
 def _build_q22() -> SpacePresentation:
@@ -770,6 +750,10 @@ def _build_q22() -> SpacePresentation:
     mono = lambda exps: _mono_of(order, exps)
     zeta0 = {"z00": 1, "z11": 1}
     zeta1 = {"z01": 1, "z10": 1}
+    # The fibre slot divisible by the off-diagonal class is carried by cxw
+    # here, which that class divides.
+    fibre = {"z0": ("z00", "z11"), "z1": ("z01", "z10"), "cw": ("cw",),
+             "cxw": ("cxw",), "divq": ("cxw",)}
 
     rules = (
         zeta_merge,
@@ -778,12 +762,7 @@ def _build_q22() -> SpacePresentation:
         RewriteRule("x-square", mono({"x": 2}), t((_E2, {"x": 1}))),
         RewriteRule("euler-product", mono({"cw": 1, "cxw": 1}),
                     t((_TAU, dict(zeta0, cw=1, x=1)))),
-        RewriteRule("twisted-euler-reduction",
-                    mono({"z01": 1, "z10": 1, "cxw": 1}),
-                    t((_UNIT_MINUS_KAPPA, dict(zeta0, cw=1)), (_E2, {}))),
-        RewriteRule("diagonal-square-reduction",
-                    mono({"z00": 2, "z11": 2, "cw": 1}),
-                    t((_XI, {"cxw": 1}), (_E2, zeta0))),
+        *_fibre_rules(fibre, order),
         RewriteRule("x0-expansion", mono({"x0": 1}),
                     t((_ONE, {"x": 1}), (-_E2, {})), guard="admissible"),
         RewriteRule("x1-expansion", mono({"x1": 1}),
@@ -825,7 +804,7 @@ def _build_q22() -> SpacePresentation:
         rules=rules, pushforwards=pushforwards,
         pushforward_targets=pushforward_targets,
         pushforward_ansatz=pushforward_ansatz, identifications=identifications,
-        annihilator_pair=("x", "x0"))
+        fibre=fibre, annihilator_pair=("x", "x0"))
 
 
 _FAMILIES = {

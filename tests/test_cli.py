@@ -91,6 +91,19 @@ def test_parse_nonequiv():
         parse_nonequiv("w^2", ring)
 
 
+def test_evaluation_targets_share_the_expression_grammar():
+    ring = TruncatedRing.odd_quadric(2)
+    c = NonequivClass.from_exponents(ring, (1, 0))
+    y = NonequivClass.from_exponents(ring, (0, 1))
+    assert parse_nonequiv("(c - 1 + 1)^2*3 - y*c", ring) == 3 * c * c - c * y
+    assert parse_nonequiv("c^q", ring, q=3) == c * c * c
+    for text in ("e*y", "g*y", "2 + kappa"):
+        with pytest.raises(ParseError, match="is not an integer"):
+            parse_nonequiv(text, ring)
+    with pytest.raises(ParseError, match="only allowed on zeta names"):
+        parse_nonequiv("y^-1", ring)
+
+
 def test_generated_expressions_round_trip():
     rng = random.Random(23)
     scalars = [
@@ -248,6 +261,15 @@ def test_solve_degree_flag_and_failure_modes(capsys):
     code, _, err = invoke(capsys, "solve", "Q_BD", "--q", "2",
                           "--coset", "0,-2", "--rho", "y", "--fix", "0;1")
     assert code == 2 and "3 fixed components" in err
+
+
+def test_solve_rejects_inhomogeneous_targets(capsys):
+    code, _, err = invoke(capsys, "solve", "Q_BD", "--q", "3", "--coset", "0,0",
+                          "--rho", "2*y - c^3", "--fix", "0;1;y")
+    assert code == 2 and "--rho target -c^3 + 2*y is not homogeneous" in err
+    code, _, err = invoke(capsys, "solve", "Q_BD", "--q", "2", "--coset", "0,-2",
+                          "--rho", "y", "--fix", "0;0;y+c")
+    assert code == 2 and "component 1 target c + y is not homogeneous" in err
 
 
 def test_lines27_text_output(capsys):

@@ -72,6 +72,19 @@ def test_divided_class_square_closes_in_the_basis():
     assert normal_form(sq) == sq
 
 
+def test_divided_square_is_the_first_rule_and_matches_its_solve():
+    spaces = ([("Q_BD", q) for q in range(1, MAX_Q + 1)]
+              + [("Q_DD", q) for q in range(2, MAX_Q + 1)] + [("Gr222", None)])
+    for name, q in spaces:
+        sp = load_presentation(name, q)
+        rule = sp.rules[0]
+        assert rule.name == "divided-square" and rule.lhs == sp.mono(divq=2)
+        grading = sp.mono_grading(rule.lhs)
+        declared = RingElement.from_terms(sp, rule.rhs, grading=grading)
+        solved = solve_in_basis(sp, grading, *sp.eval_mono(rule.lhs))
+        assert declared == solved, sp.name
+
+
 def test_declared_relations_hold_under_multiplication():
     for name, q in [("Q_BD", 0), ("Q_BD", 3), ("Q_DD", 2), ("Q22", None),
                     ("Gr222", None), ("BU1", None), ("X1q", 2)]:
@@ -121,9 +134,20 @@ def test_products_outside_the_fragment_fail_loudly():
     assert isinstance(info.value.__context__, FragmentError)
 
 
-def test_step_bound_is_read_from_the_environment(monkeypatch):
-    monkeypatch.setenv("QUADRICS_STEP_BOUND", "1")
-    with pytest.raises(RuntimeError, match="QUADRICS_STEP_BOUND=1"):
+def test_an_ambiguous_product_outside_the_fragment_is_not_guessed():
+    # the termwise scalar e * e^-2 kappa leaves the fragment, and the
+    # product's evaluation pair does not separate the slots of its degree
+    q22 = load_presentation("Q22")
+    u = elt(q22, PointScalar.e_power(1), z00=5, z11=1, cw=1)
+    v = elt(q22, PointScalar.kappa_negative(1), z00=5, z11=1, z10=1, cw=1)
+    with pytest.raises(AmbiguousSolveError) as info:
+        multiply(u, v)
+    assert isinstance(info.value.__context__, FragmentError)
+
+
+def test_step_bound_trips_loudly(monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_STEP_BOUND", 1)
+    with pytest.raises(RuntimeError, match="STEP_BOUND=1 "):
         multiply(elt(BD2, x=1), elt(BD2, x=1))
 
 

@@ -57,7 +57,7 @@ def test_point_and_zero():
 
 
 def test_proj_line():
-    ring = TruncatedRing.proj_line()
+    ring = TruncatedRing.truncated_poly(2, "P1", "x")
     x = NonequivClass.monomial(ring, (1,))
     assert not x * x
     assert x.homogeneous_degree() == 2
@@ -138,7 +138,8 @@ def test_class_arithmetic():
     assert (-u) + u == NonequivClass.zero(ring)
     assert u.homogeneous_degree() is None  # mixed degrees 2 and 4
     with pytest.raises(ValueError):
-        NonequivClass.monomial(TruncatedRing.proj_line(), (1,)) + c
+        NonequivClass.monomial(TruncatedRing.truncated_poly(2, "P1", "x"),
+                               (1,)) + c
 
 
 def test_rendering():

@@ -261,7 +261,8 @@ def _canonical(space: SpacePresentation, grading: GradingElement,
     except ValueError:
         # deep bundle cosets have no finite table; the reduced form stands
         return element
-    if all(m in set(table) for m in element.terms):
+    slots = set(table)
+    if all(m in slots for m in element.terms):
         return element
     rho, fix = element.evaluate()
     try:
@@ -359,7 +360,8 @@ def _exact_solve(rows: list[list[int]], rhs: list[int],
     for row, c in zip(m, pivots):
         sol[c] = row[ncols]
     kernel: list[list[Fraction]] = []
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
@@ -435,8 +437,11 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     each dressed with the unique point-ring scalar filling the degree gap
     (slots whose gap supports nothing drop out).  Coefficients live in the
     Burnside ring where the template is a plain Burnside scalar and in Z
-    otherwise.  Returns (element, records, ambiguous) with one (template,
-    mono, coefficient) record per candidate, zeros included.
+    otherwise.  The equations are the coefficients of the basis keys, in
+    ring and basis order, that the target or some candidate's evaluation
+    supports; every other key would give 0 = 0.  Returns (element, records,
+    ambiguous) with one (template, mono, coefficient) record per candidate,
+    zeros included.
 
     Some cosets carry distinct classes with equal evaluation pairs (e.g. a
     kappa-multiple of one slot against the e^-2 kappa dressing of another);
@@ -467,29 +472,23 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     rows: list[list[int]] = []
     rhs: list[int] = []
 
-    def add_row(rhs_value: int, weights: list[tuple[int, int]]):
-        row = [0] * n_unknowns
-        for idx, w in weights:
-            row[idx] += w
-        rows.append(row)
-        rhs.append(rhs_value)
-
     evals = [space.eval_mono(mono) for _, mono, _ in candidates]
-    for key in space.underlying.basis_keys():
-        weights = []
-        for (template, _, domain), cols, (mrho, _) in zip(candidates, columns, evals):
-            w = template.rho_multiplier() * mrho.coefficient(key)
-            if w:
-                weights.append((cols[0], w))
-        add_row(rho_target.coefficient(key), weights)
-    for ci, ring in enumerate(space.fixed_rings):
+    sides = [(space.underlying, rho_target, [
+        (t.rho_multiplier(), cols[0], rho)
+        for (t, _, _), cols, (rho, _) in zip(candidates, columns, evals)])]
+    sides += [(ring, fix_target.parts[ci], [
+        (t.fix_multiplier(), cols[-1], fix.parts[ci])
+        for (t, _, _), cols, (_, fix) in zip(candidates, columns, evals)])
+        for ci, ring in enumerate(space.fixed_rings)]
+    for ring, target, terms in sides:
+        support = set(target.coeffs).union(*(cls.coeffs for _, _, cls in terms))
         for key in ring.basis_keys():
-            weights = []
-            for (template, _, domain), cols, (_, mfix) in zip(candidates, columns, evals):
-                w = template.fix_multiplier() * mfix.parts[ci].coefficient(key)
-                if w:
-                    weights.append((cols[-1], w))
-            add_row(fix_target.parts[ci].coefficient(key), weights)
+            if key in support:
+                row = [0] * n_unknowns
+                for w, col, cls in terms:
+                    row[col] += w * cls.coefficient(key)
+                rows.append(row)
+                rhs.append(target.coefficient(key))
 
     if n_unknowns == 0:
         if rho_target or fix_target:

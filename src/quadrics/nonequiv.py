@@ -8,9 +8,9 @@ rings of projective spaces, and the two quadric families
     even quadric Q^{2s}:   Z[c, y] / (c^{s+1} - 2cy, y^2 - eps c^s y), deg y = 2s
 
 with eps = 1 for s even and 0 for s odd.  Instances are immutable, cached,
-and exhaustively validated at construction: every basis triple is checked
-for associativity and every product for degree additivity, so downstream
-computations can trust the multiplication table blindly.
+and validated at construction: every product for commutativity and degree
+additivity, every basis monomial as a product of generators, associativity
+against the generators, so the multiplication table can be trusted blindly.
 
 Classes are sparse integer combinations of basis monomials.  The only
 non-generic computation here is the Euler class of the third symmetric
@@ -46,6 +46,15 @@ class TruncatedRing:
         self._validate()
 
     def _validate(self):
+        """Check commutativity, homogeneity, generation and associativity.
+
+        The generators g are the basis keys of exponent sum 1.  The unit must
+        square to itself, and every other key k must be (k - g)*g for each g
+        with k - g in the basis, and for at least one.  With commutativity,
+        (a*b)*g == a*(b*g) for basis a, b then gives (a*b)*c == a*(b*c) by
+        induction on the degree of c: for c = 1 as 1*k = (1*(k - g))*g = k,
+        and for c = (c - g)*g as a*(b*c) = (a*(b*(c - g)))*g = ((a*b)*(c - g))*g.
+        """
         for k1 in self._order:
             for k2 in self._order:
                 prod = self._table[(k1, k2)]
@@ -56,11 +65,18 @@ class TruncatedRing:
                     if n and self._basis[k] != target:
                         raise AssertionError(
                             f"{self.name}: {k1}*{k2} not homogeneous of degree {target}")
+        gens = [g for g in self._order if sum(g) == 1]
+        for k in self._order:
+            below = [(k, k)] if not any(k) else [
+                (tuple(a - b for a, b in zip(k, g)), g) for g in gens]
+            below = [pair for pair in below if pair[0] in self._basis]
+            if not below or any(self._table[pair] != {k: 1} for pair in below):
+                raise AssertionError(f"{self.name}: {k} is not generated by {self.vars}")
         for k1 in self._order:
             for k2 in self._order:
-                for k3 in self._order:
-                    left = self._mul_dict(self._table[(k1, k2)], k3)
-                    right = self._mul_dict(self._table[(k2, k3)], k1)
+                for g in gens:
+                    left = self._mul_dict(self._table[(k1, k2)], g)
+                    right = self._mul_dict(self._table[(k2, g)], k1)
                     if left != right:
                         raise AssertionError(f"{self.name}: product not associative")
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import sympy
 
 from quadrics import engine
 from quadrics.burnside import BurnsideScalar, UnsolvableError
@@ -11,7 +12,8 @@ from quadrics.engine import (
     solve_in_basis, solve_with_coefficients, tau_transfer, verify_presentation,
 )
 from quadrics.presentation import MAX_Q, coset_basis, load_presentation, mono_str
-from quadrics.scalars import FragmentError, PointScalar
+from quadrics.nonequiv import NonequivClass
+from quadrics.scalars import FragmentError, PointScalar, scalar_dressing
 
 B = BurnsideScalar
 BD2 = load_presentation("Q_BD", 2)
@@ -179,6 +181,65 @@ def test_inconsistent_targets_are_rejected():
     rho, fix = BD2.eval_mono(BD2.mono(x=1))
     with pytest.raises(UnsolvableError):
         solve_in_basis(BD2, g, rho * 0, fix)  # rho says 0, fix disagrees
+
+
+def test_a_target_where_no_candidate_lives_is_inconsistent():
+    g = BD2.mono_grading(BD2.mono(x=1))
+    rho, fix = BD2.eval_mono(BD2.mono(x=1))
+    ring = BD2.underlying
+    supported = {k for _, m, _ in solve_with_coefficients(BD2, g, rho, fix)[1]
+                 for k in BD2.eval_mono(m)[0].coeffs}
+    stray = next(k for k in ring.basis_keys() if k not in supported)
+    stray_rho = rho + NonequivClass.monomial(ring, stray)
+    with pytest.raises(UnsolvableError, match="inconsistent"):
+        solve_with_coefficients(BD2, g, stray_rho, fix)
+
+
+def _dense_system(sp, records, rho, fix):
+    """A row for every basis key of every ring, unknowns in the solver's order."""
+    rings = [sp.underlying, *sp.fixed_rings]
+    keys = [(i, k) for i, ring in enumerate(rings) for k in ring.basis_keys()]
+    columns, unknowns = [], []
+    for template, mono, coeff in records:
+        mrho, mfix = sp.eval_mono(mono)
+        classes = [mrho, *mfix.parts]
+        multipliers = [template.rho_multiplier()] + [template.fix_multiplier()] * len(mfix.parts)
+        if isinstance(coeff, BurnsideScalar):  # one unknown per evaluation side
+            sides = [{0}, set(range(1, len(rings)))]
+            unknowns += [coeff.rho, coeff.fix]
+        else:
+            sides = [set(range(len(rings)))]
+            unknowns.append(coeff)
+        for side in sides:
+            columns.append([multipliers[i] * classes[i].coefficient(k) if i in side else 0
+                            for i, k in keys])
+    target = [[rho, *fix.parts][i].coefficient(k) for i, k in keys]
+    return sympy.Matrix(columns).T, sympy.Matrix(target), unknowns
+
+
+@pytest.mark.parametrize("name, q", [("Q_BD", 3), ("Q_DD", 4), ("Q22", None)])
+def test_solves_match_the_dense_system(name, q):
+    # every slot of the sampled cosets, dressed by each kind of point-ring
+    # scalar; the dense solution is unique exactly when the solve is
+    # unambiguous, and then it is the solve's
+    sp = load_presentation(name, q)
+    unique = 0
+    for key in engine._sample_keys(sp):
+        for m in coset_basis(sp, key):
+            for shift in ((0, 0), (0, 1), (0, -2), (2, -2), (-2, 2)):
+                template, _ = scalar_dressing(shift)
+                rho, fix = sp.eval_mono(m)
+                rho, fix = template.rho_multiplier() * rho, fix * template.fix_multiplier()
+                g = sp.mono_grading(m) + sp.group.element(*shift)
+                _, records, ambiguous = solve_with_coefficients(sp, g, rho, fix)
+                matrix, target, unknowns = _dense_system(sp, records, rho, fix)
+                solution, free = matrix.gauss_jordan_solve(target)
+                where = (sp.name, key, mono_str(m), shift)
+                assert ambiguous == bool(free), where
+                if not free:
+                    assert list(solution) == unknowns, where
+                    unique += 1
+    assert unique
 
 
 def test_phantom_coset_is_ambiguous_but_tie_break_restores_slots():

@@ -86,7 +86,7 @@ def test_truncated_poly():
     assert TruncatedRing.truncated_poly(1).rank() == 1
 
 
-@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 64])
 def test_odd_quadric(s):
     ring = TruncatedRing.odd_quadric(s)
     assert ring.rank() == 2 * s + 2
@@ -104,7 +104,7 @@ def test_odd_quadric_empty():
     assert TruncatedRing.odd_quadric(-1).rank() == 0
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 64])
 def test_even_quadric(s):
     ring = TruncatedRing.even_quadric(s)
     assert ring.rank() == 2 * s + 2
@@ -127,6 +127,30 @@ def test_even_quadric_ruling_swap():
     other = c - y
     assert not other * other
     assert y * other == NonequivClass.monomial(ring, (1, 1))
+
+
+def test_a_generated_ring_that_is_not_associative_is_rejected():
+    # odd-quadric-like with s = 2, but c^{s+2} = 3cy while c*c^{s+1} = 2cy;
+    # commutative, homogeneous and generated by c and y
+    s = 2
+    basis = {(i, j): 2 * i + (2 * s + 2) * j for i in range(s + 1) for j in range(2)}
+
+    def reduce_fn(raw):
+        i, j = raw
+        if j >= 2 or (i > s and j == 1):
+            return {}
+        if i > s:
+            return {(i - s - 1, 1): 2 if i == s + 1 else 3}
+        return {raw: 1}
+
+    with pytest.raises(AssertionError, match="not associative"):
+        TruncatedRing("bad", ("c", "y"), basis, reduce_fn)
+
+
+def test_a_basis_key_the_generators_do_not_reach_is_rejected():
+    basis = {(0,): 0, (2,): 4}  # x^2 without x
+    with pytest.raises(AssertionError, match=r"\(2,\) is not generated"):
+        TruncatedRing("gap", ("x",), basis, lambda raw: {raw: 1} if raw in basis else {})
 
 
 def test_class_arithmetic():

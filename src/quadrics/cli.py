@@ -45,6 +45,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .burnside import BurnsideScalar, UnsolvableError
 from .engine import (RingElement, normal_form, render_terms,
@@ -540,6 +541,7 @@ def _cmd_lines27(args) -> int:
 # entry points
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="quadrics",

@@ -239,6 +239,8 @@ class NonequivClass:
         if isinstance(other, int):
             return NonequivClass(self.ring, {k: n * other for k, n in self.coeffs.items()})
         self._check(other)
+        if not (self.coeffs and other.coeffs):  # classes are values: reuse the zero
+            return other if self.coeffs else self
         out: dict[Key, int] = {}
         for k1, n1 in self.coeffs.items():
             for k2, n2 in other.coeffs.items():
@@ -251,10 +253,10 @@ class NonequivClass:
     def __pow__(self, n: int) -> "NonequivClass":
         if n < 0:
             raise ValueError("no inverses in a truncated ring")
-        result = NonequivClass.unit(self.ring)
-        for _ in range(n):
-            result = result * self
-        return result
+        if n < 2:
+            return self if n else NonequivClass.unit(self.ring)
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

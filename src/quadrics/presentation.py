@@ -202,7 +202,7 @@ class SpacePresentation:
         "derived", "units", "lemma_ansatz", "fibre",
         "pushforwards", "pushforward_targets", "pushforward_ansatz",
         "identifications", "annihilator_pair",
-        "_table_cache", "_eval_cache", "_grading_cache",
+        "_table_cache", "_eval_cache", "_grading_cache", "_powers", "_unit_classes",
     )
 
     def __init__(self, name, family, q, group, underlying, fixed_rings,
@@ -234,6 +234,9 @@ class SpacePresentation:
         self._table_cache = {}
         self._eval_cache = {}
         self._grading_cache = {}
+        self._powers = {}  # (letter, exp) -> (rho, fixed parts) of its power
+        self._unit_classes = (NonequivClass.unit(underlying),
+                              FixedTuple.unit(self.fixed_rings).parts)
 
     def __repr__(self):
         return f"SpacePresentation({self.name}, q={self.q})"
@@ -249,10 +252,11 @@ class SpacePresentation:
     def mono_grading(self, m: Mono) -> GradingElement:
         g = self._grading_cache.get(m)
         if g is None:
-            g = self.group.zero()
+            acc = [0] * (2 + len(self.group.labels))  # one, sigma, omega
             for name, exp in m:
-                g = g + exp * self.letters[name].grading
-            self._grading_cache[m] = g
+                lg = self.letters[name].grading
+                acc = [a + exp * b for a, b in zip(acc, (lg.one, lg.sigma, *lg.omega))]
+            g = self._grading_cache[m] = GradingElement(self.group, *acc[:2], tuple(acc[2:]))
         return g
 
     def is_admissible(self, m: Mono) -> bool:
@@ -272,15 +276,17 @@ class SpacePresentation:
         cached = self._eval_cache.get(m)
         if cached is not None:
             return cached
-        rho = NonequivClass.unit(self.underlying)
-        parts = [NonequivClass.unit(r) for r in self.fixed_rings]
-        unit_u = NonequivClass.unit(self.underlying)
+        unit_u, units = self._unit_classes
+        rho, parts = unit_u, list(units)
         for name, exp in m:
             letter = self.letters[name]
             if exp >= 0:
-                rho = rho * letter.rho ** exp
-                for i, v in enumerate(letter.fix.parts):
-                    parts[i] = parts[i] * v ** exp
+                power = self._powers.get((name, exp))
+                if power is None:
+                    power = self._powers[(name, exp)] = (
+                        letter.rho ** exp, tuple(v ** exp for v in letter.fix.parts))
+                rho = rho * power[0]
+                parts = [a * b for a, b in zip(parts, power[1])]
             else:
                 # Divided classes: only component letters go negative, and
                 # their restrictions are units or vanish outright.
@@ -288,8 +294,8 @@ class SpacePresentation:
                     raise ValueError(f"{name} has no invertible underlying restriction")
                 for i, v in enumerate(letter.fix.parts):
                     if not v:
-                        parts[i] = NonequivClass.zero(self.fixed_rings[i])
-                    elif v != NonequivClass.unit(self.fixed_rings[i]):
+                        parts[i] = v
+                    elif v != units[i]:
                         raise ValueError(f"{name} has a non-unit fixed restriction")
         result = (rho, FixedTuple(parts))
         self._eval_cache[m] = result

@@ -1,17 +1,22 @@
 """Graded elements: normal forms, products, basis solves, printing."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
-from quadrics import engine
+from quadrics import engine, presentation
 from quadrics.burnside import BurnsideScalar, UnsolvableError
 from quadrics.engine import (
     AmbiguousSolveError, RingElement, annihilator_check, multiply, normal_form,
     solve_in_basis, solve_with_coefficients, tau_transfer, verify_presentation,
 )
-from quadrics.presentation import MAX_Q, coset_basis, load_presentation, mono_str
+from quadrics.presentation import (
+    MAX_Q, SpacePresentation, coset_basis, load_presentation, mono_str,
+)
 from quadrics.nonequiv import NonequivClass
 from quadrics.scalars import FragmentError, PointScalar, scalar_dressing
 
@@ -301,3 +306,107 @@ def test_verify_presentation_report_shape():
     assert report["failures"] == []
     assert all(isinstance(v, bool) for v in report["checks"].values())
     assert len(report["checks"]) >= 5
+
+
+def test_verify_records_a_product_that_cannot_be_solved(monkeypatch):
+    # with the last slot dropped from every Q22 table nothing lives in
+    # degree 2 + 2s, so the bundle-factor product cannot be re-solved
+    q22_coset = SpacePresentation._q22_coset
+    monkeypatch.setattr(SpacePresentation, "_q22_coset",
+                        lambda self, key: q22_coset(self, key)[:-1])
+    report = verify_presentation(presentation._build_q22())
+    assert report["checks"]["identification:bundle-factor"] is False
+    assert ("identification:bundle-factor: nothing lives in degree 2 + 2s of Q22"
+            in report["failures"])
+    assert report["ok"] is False
+
+
+def test_degree_checks_on_the_integer_path_still_fail_loudly():
+    one, x = PointScalar.integer(1), BD2.mono(x=1)
+    degree = BD2.mono_grading(x)
+    for wrong in (degree + BD2.group.element(sigma=1),
+                  degree + BD2.group.omega(BD2.group.labels[0])):
+        with pytest.raises(ValueError, match=re.escape(
+                f"term 1*x has degree {degree}, not {wrong}")):
+            RingElement(BD2, wrong, ((one, x),))
+    off = degree + BD2.group.omega(BD2.group.labels[0])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{off - degree} is not an RO(C2) grading")):
+        engine._dressed_slots(BD2, off, [x])
+
+
+def _fraction_gauss_jordan(rows, rhs, ncols):
+    """Gauss-Jordan over Fraction: the elimination _exact_solve must match."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    for row in m[r:]:
+        if row[ncols]:
+            raise UnsolvableError("evaluation targets are inconsistent with the basis")
+    sol = [Fraction(0)] * ncols
+    for row, c in zip(m, pivots):
+        sol[c] = row[ncols]
+    kernel = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            vec[pc] = -row[fc]
+        kernel.append(vec)
+    return sol, kernel
+
+
+@st.composite
+def integer_systems(draw):
+    """Rows drawn from a small pool that holds the zero row, so repeats make
+    systems rank-deficient; the right side is either A*x (consistent) or
+    drawn freely (often inconsistent)."""
+    ncols = draw(st.integers(1, 12))
+    entry = st.integers(-5, 5)
+    pool = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=12)) + [[0] * ncols]
+    rows = [list(row) for row in draw(st.lists(st.sampled_from(pool), max_size=12))]
+    if draw(st.booleans()):
+        x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, ncols
+
+
+def _solve_or_error(solve, system):
+    rows, rhs, ncols = system
+    try:
+        return solve([list(row) for row in rows], list(rhs), ncols)
+    except UnsolvableError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_systems())
+@example(([[1, 2], [2, 4]], [3, 6], 2))  # rank-deficient, consistent
+@example(([[1, 2], [2, 4]], [3, 5], 2))  # rank-deficient, inconsistent
+@example(([[0, 0, 0], [3, -5, 4]], [0, 2], 3))  # a zero row
+@example(([[0, 0]], [1], 2))  # 0 = 1
+@example(([], [], 3))  # no equations: everything is free
+def test_fraction_free_elimination_matches_gauss_jordan(system):
+    got = _solve_or_error(engine._exact_solve, system)
+    assert got == _solve_or_error(_fraction_gauss_jordan, system)
+    if not isinstance(got, str):
+        sol, kernel = got
+        assert all(type(v) is Fraction for v in sol + [v for vec in kernel for v in vec])

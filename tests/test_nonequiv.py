@@ -175,3 +175,15 @@ def test_rendering():
     assert str(NonequivClass.monomial(pls, (1, 1), 6)) == "6*x1*x2"
     assert str(NonequivClass.monomial(pls, (1, 0)) -
                NonequivClass.monomial(pls, (0, 1))) == "x1 - x2"
+
+def test_powers_by_squaring_match_the_loop():
+    ring = TruncatedRing.odd_quadric(4)
+    u = (NonequivClass.unit(ring) + NonequivClass.from_exponents(ring, (1, 0))
+         + 3 * NonequivClass.from_exponents(ring, (0, 1)))
+    assert u ** 0 == NonequivClass.unit(ring)
+    with pytest.raises(ValueError, match="no inverses"):
+        u ** -1
+    looped = NonequivClass.unit(ring)
+    for n in range(12):
+        assert u ** n == looped, n
+        looped = looped * u

@@ -8,8 +8,8 @@ import pytest
 from quadrics.cli import ZETA_NAMES, parse
 from quadrics.nonequiv import NonequivClass
 from quadrics.presentation import (
-    MAX_Q, SpacePresentation, coset_basis, load_presentation, mono_mul,
-    mono_str,
+    MAX_Q, FixedTuple, SpacePresentation, coset_basis, load_presentation,
+    mono_mul, mono_str,
 )
 from quadrics.scalars import PointScalar
 
@@ -247,6 +247,18 @@ def test_eval_mono_is_cached_and_multiplicative_on_samples():
         assert rc == ra * rb
         assert fc == fa * fb
     assert sp.eval_mono(monos[0]) is sp.eval_mono(monos[0])
+
+
+def test_letter_powers_equal_repeated_multiplication():
+    for name, q in LOADABLE:
+        sp = load_presentation(name, q)
+        for letter in sp.letters.values():
+            rho = NonequivClass.unit(sp.underlying)
+            fix = FixedTuple.unit(sp.fixed_rings)
+            for exp in range(1, 2 * (q or 0) + 4):
+                rho, fix = rho * letter.rho, fix * letter.fix
+                got = sp.eval_mono(sp.mono({letter.name: exp}))
+                assert got == (rho, fix), (sp.name, letter.name, exp)
 
 
 def test_annihilator_pairs_are_declared_where_sections_split():

@@ -34,9 +34,11 @@ Subcommands:
                                                evaluation targets
     lines27 [--parity even|odd]                the refined 27-lines count
 
-Exit codes: 0 success, 1 failed verification or unsolvable targets,
-2 usage or parse errors.  --json switches every subcommand to a stable
-JSON rendering carrying a versioned "schema" key.
+Exit codes: 0 success, 1 failed verification, unsolvable targets or a
+computation that cannot be finished exactly (the rewriting step bound,
+BU1's evaluation window c^0..c^31), 2 usage or parse errors.  --json
+switches every subcommand to a stable JSON rendering carrying a
+versioned "schema" key.
 """
 
 from __future__ import annotations

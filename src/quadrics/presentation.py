@@ -24,7 +24,7 @@ closed form per family; verify checks it against evaluation.
 Five families are available through load_presentation:
 
   BU1      the classifying space of complex lines (no coset tables;
-           evaluation only, windowed),
+           evaluation only, up to c^31),
   X1q      the projectivized bundle over it with fibre P(C + C^q sigma),
   Q_BD     the odd-dimensional smooth quadrics containing X1q,
   Q_DD     the even-dimensional ones (two disjoint section families),
@@ -514,14 +514,12 @@ def _zeta_letters(group: GradingGroup, und: TruncatedRing,
 
 
 def _build_bu1() -> SpacePresentation:
-    # The classifying space itself: evaluation is windowed polynomial
-    # algebra (degrees beyond the window are not probed by anything the
-    # package computes) and there are no finite coset tables.
-    window = 32
+    # The classifying space itself: evaluation is polynomial algebra seen
+    # through the window c^0..c^31, past which a product raises (c^n never
+    # vanishes in H*(BU1)), and there are no finite coset tables.
     group = GradingGroup(("0", "1"))
-    und = TruncatedRing.truncated_poly(window, name="poly-window")
-    f0 = TruncatedRing.truncated_poly(window, name="poly-window-0")
-    f1 = TruncatedRing.truncated_poly(window, name="poly-window-1")
+    und, f0, f1 = (TruncatedRing.poly_window(32, name)
+                   for name in ("poly-window", "poly-window-0", "poly-window-1"))
     rings = (f0, f1)
     order = ("z0", "z1", "cw", "cxw")
     c = _cls(und, 1)

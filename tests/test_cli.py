@@ -191,6 +191,16 @@ def test_nf_rejects_a_divided_class_that_cannot_exist(capsys):
     assert "not admissible in BU1" in err
 
 
+def test_nf_past_the_bu1_window_fails_loudly(capsys):
+    # c^40 is not 0 in H*(BU1); the evaluation window stops at c^31
+    for expr in ("cw^40", "cw^20*cxw^20"):
+        code, out, err = invoke(capsys, "nf", "BU1", expr)
+        assert (code, out) == (1, ""), expr
+        assert "poly-window: c^40 lies past the window c^0..c^31" in err
+    code, out, _ = invoke(capsys, "nf", "BU1", "cw^31")
+    assert (code, out) == (0, "cw^31\nrho: c^31\nfix: c^31; 1\n")
+
+
 def test_verify_text_output(capsys):
     code, out, _ = invoke(capsys, "verify", "Q_BD", "--q", "0")
     assert code == 0

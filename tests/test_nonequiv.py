@@ -7,6 +7,104 @@ from quadrics.nonequiv import (
     NonequivClass, TruncatedRing, euler_fixed_sym3, euler_sym3_rank2,
     sym3_weight_expansion,
 )
+from quadrics.presentation import MAX_Q, load_presentation
+
+
+# --- the ring reference ---------------------------------------------------
+#
+# A ring multiplies by its family's reduce and keeps no product table.  This
+# reference rebuilds the full table from the reduce and checks the ring
+# axioms on it, for every ring the program can build.
+
+def product_table(ring):
+    """Every product of two basis keys, as the reduction of their exponent sum.
+
+    A product past the window of a window ring raises in its reduce; that
+    pair is left out of the table, and so is every check that needs it.
+    """
+    table = {}
+    for k1 in ring.basis_keys():
+        for k2 in ring.basis_keys():
+            try:
+                table[(k1, k2)] = ring.reduce_exponents(
+                    tuple(a + b for a, b in zip(k1, k2)))
+            except RuntimeError:
+                pass
+    return table
+
+
+def check_ring_axioms(ring):
+    """Check commutativity, homogeneity, generation and associativity.
+
+    The generators g are the basis keys of exponent sum 1.  The unit must
+    square to itself, and every other key k must be (k - g)*g for each g
+    with k - g in the basis, and for at least one.  With commutativity,
+    (a*b)*g == a*(b*g) for basis a, b then gives (a*b)*c == a*(b*c) by
+    induction on the degree of c: for c = 1 as 1*k = (1*(k - g))*g = k,
+    and for c = (c - g)*g as a*(b*c) = (a*(b*(c - g)))*g = ((a*b)*(c - g))*g.
+    """
+    keys = ring.basis_keys()
+    table = product_table(ring)
+    for (k1, k2), prod in table.items():
+        if prod != table.get((k2, k1)):
+            raise AssertionError(f"{ring.name}: product not commutative")
+        target = ring.degree_of(k1) + ring.degree_of(k2)
+        for k, n in prod.items():
+            if n and (k not in keys or ring.degree_of(k) != target):
+                raise AssertionError(
+                    f"{ring.name}: {k1}*{k2} not homogeneous of degree {target}")
+    gens = [g for g in keys if sum(g) == 1]
+    for k in keys:
+        below = [(k, k)] if not any(k) else [
+            (tuple(a - b for a, b in zip(k, g)), g) for g in gens]
+        below = [pair for pair in below if pair[0] in keys]
+        if not below or any(table[pair] != {k: 1} for pair in below):
+            raise AssertionError(f"{ring.name}: {k} is not generated by {ring.vars}")
+
+    def times(d, k):
+        out = {}
+        for k1, n in d.items():
+            for k2, m in table[(k1, k)].items():
+                out[k2] = out.get(k2, 0) + n * m
+        return {key: v for key, v in out.items() if v}
+
+    for (k1, k2), prod in table.items():
+        for g in gens:
+            try:
+                left, right = times(prod, g), times(table[(k2, g)], k1)
+            except KeyError:  # the triple product leaves the window
+                continue
+            if left != right:
+                raise AssertionError(f"{ring.name}: product not associative")
+
+
+# every space load_presentation accepts
+LOADABLE = (
+    [("BU1", None), ("Q22", None), ("Gr222", None)]
+    + [("X1q", q) for q in range(MAX_Q + 1)]
+    + [("Q_BD", q) for q in range(MAX_Q + 1)]
+    + [("Q_DD", q) for q in range(2, MAX_Q + 1)]
+)
+
+
+def buildable_rings():
+    """The underlying and fixed rings of every loadable space, and large quadrics."""
+    rings = {}
+    for name, q in LOADABLE:
+        space = load_presentation(name, q)
+        for ring in (space.underlying, *space.fixed_rings):
+            rings[id(ring)] = ring
+    for s in (32, 64):
+        for ring in (TruncatedRing.odd_quadric(s), TruncatedRing.even_quadric(s)):
+            rings[id(ring)] = ring
+    return list(rings.values())
+
+
+def test_every_buildable_ring_satisfies_the_ring_axioms():
+    rings = buildable_rings()
+    assert len(rings) == 61
+    for ring in rings:
+        check_ring_axioms(ring)
 
 
 # --- oracle for the symmetric-cube Euler class ---------------------------
@@ -86,7 +184,8 @@ def test_truncated_poly():
     assert TruncatedRing.truncated_poly(1).rank() == 1
 
 
-@pytest.mark.parametrize("s", [0, 1, 2, 3, 64])
+# every s a loadable space uses, and the large ones
+@pytest.mark.parametrize("s", [*range(MAX_Q + 1), 32, 64])
 def test_odd_quadric(s):
     ring = TruncatedRing.odd_quadric(s)
     assert ring.rank() == 2 * s + 2
@@ -104,7 +203,7 @@ def test_odd_quadric_empty():
     assert TruncatedRing.odd_quadric(-1).rank() == 0
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4, 64])
+@pytest.mark.parametrize("s", [*range(1, MAX_Q + 1), 32, 64])
 def test_even_quadric(s):
     ring = TruncatedRing.even_quadric(s)
     assert ring.rank() == 2 * s + 2
@@ -144,13 +243,43 @@ def test_a_generated_ring_that_is_not_associative_is_rejected():
         return {raw: 1}
 
     with pytest.raises(AssertionError, match="not associative"):
-        TruncatedRing("bad", ("c", "y"), basis, reduce_fn)
+        check_ring_axioms(TruncatedRing("bad", ("c", "y"), basis, reduce_fn))
 
 
 def test_a_basis_key_the_generators_do_not_reach_is_rejected():
     basis = {(0,): 0, (2,): 4}  # x^2 without x
     with pytest.raises(AssertionError, match=r"\(2,\) is not generated"):
-        TruncatedRing("gap", ("x",), basis, lambda raw: {raw: 1} if raw in basis else {})
+        check_ring_axioms(TruncatedRing(
+            "gap", ("x",), basis, lambda raw: {raw: 1} if raw in basis else {}))
+
+
+def test_construction_multiplies_nothing():
+    def reduce_fn(raw):
+        raise AssertionError(f"reduce called on {raw}")
+
+    ring = TruncatedRing("lazy", ("c",), {(0,): 0, (1,): 2, (2,): 4}, reduce_fn)
+    assert ring.rank() == 3
+    assert ring.basis_keys() == ((0,), (1,), (2,))
+    c = NonequivClass.monomial(ring, (1,))
+    zero = NonequivClass.zero(ring)
+    assert c * zero == zero and zero * c == zero
+    assert str(3 * c + c) == "4*c"
+    with pytest.raises(AssertionError, match=r"reduce called on \(2,\)"):
+        c * c
+
+
+def test_a_class_on_a_key_outside_the_basis_is_rejected():
+    ring = TruncatedRing.odd_quadric(2)
+    with pytest.raises(ValueError, match=r"\(9, 9\) is not a basis monomial of Q5"):
+        NonequivClass(ring, {(9, 9): 1})
+
+
+def test_the_window_ring_raises_past_its_last_power():
+    ring = TruncatedRing.poly_window(4, "w")
+    c = NonequivClass.monomial(ring, (1,))
+    assert c ** 3 == NonequivClass.monomial(ring, (3,))
+    with pytest.raises(RuntimeError, match=r"w: c\^4 lies past the window c\^0..c\^3"):
+        c ** 4
 
 
 def test_class_arithmetic():

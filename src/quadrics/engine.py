@@ -10,6 +10,10 @@ complementary section's own evaluation or a declared pushforward target
 instead, is what turns the stated section/pushforward lemmas into
 machine checks: `verify_presentation` replays all of them.
 
+Solving is over the integers: a Burnside coefficient a + b*g is two
+integer unknowns, and one primitive, `_restrict`, cuts the solution
+lattice by the equations and then picks its exact canonical point.
+
 Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
 applications per product) and fails loudly rather than silently
 truncating; so does a product re-solved from an evaluation pair that
@@ -18,12 +22,10 @@ does not pin it down, once its scalars leave the point-ring fragment.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
-from math import gcd
+from operator import mul
 from typing import Iterable, Mapping
 
-from .burnside import BurnsideScalar, UnsolvableError, burnside_solve
+from .burnside import BurnsideScalar, UnsolvableError
 from .grading import GradingElement
 from .nonequiv import NonequivClass
 from .presentation import (FixedTuple, Mono, SpacePresentation, Terms,
@@ -275,45 +277,45 @@ def _canonical(space: SpacePresentation, grading: GradingElement,
         return element
 
 
+def _rewritten_or_solved(space: SpacePresentation, grading: GradingElement,
+                         pairs: Iterable[tuple[Mono, PointScalar]],
+                         evaluation) -> RingElement:
+    """Rewrite and canonicalise the sum of (mono, scalar) pairs.
+
+    When a scalar leaves the point-ring fragment, forming or rewriting the
+    (lazily read) pairs, the class is solved from evaluation() instead.
+    """
+    try:
+        terms: dict[Mono, PointScalar] = {}
+        for mono, scalar in pairs:
+            _accumulate(terms, mono, scalar)
+        return _canonical(space, grading, _rewrite(space, terms))
+    except FragmentError:
+        return solve_in_basis(space, grading, *evaluation(), ambiguity="raise")
+
+
 def multiply(u: RingElement, v: RingElement) -> RingElement:
     if u.space is not v.space:
         raise ValueError("elements live over different spaces")
-    space = u.space
-    grading = u.grading + v.grading
-    try:
-        raw: dict[Mono, PointScalar] = {}
-        for m1, s1 in u.terms.items():
-            for m2, s2 in v.terms.items():
-                _accumulate(raw, mono_mul(m1, m2, space.letter_order), s1 * s2)
-        return _canonical(space, grading, _rewrite(space, raw))
-    except FragmentError:
-        # The termwise scalars left the implemented point-ring fragment;
-        # the product is determined by its evaluation when that is unique.
-        ru, fu = u.evaluate()
-        rv, fv = v.evaluate()
-        return solve_in_basis(space, grading, ru * rv, fu * fv, ambiguity="raise")
+    order = u.space.letter_order
+    pairs = ((mono_mul(m1, m2, order), s1 * s2)
+             for m1, s1 in u.terms.items() for m2, s2 in v.terms.items())
+    return _rewritten_or_solved(u.space, u.grading + v.grading, pairs, lambda: [
+        a * b for a, b in zip(u.evaluate(), v.evaluate())])
 
 
 def scalar_multiple(u: RingElement, scalar: PointScalar) -> RingElement:
-    grading = u.grading + u.space.group.element(*scalar.grading())
-    try:
-        out: dict[Mono, PointScalar] = {}
-        for mono, s in u.terms.items():
-            _accumulate(out, mono, scalar * s)
-        return _canonical(u.space, grading, _rewrite(u.space, out))
-    except FragmentError:
+    def evaluation():
         rho, fix = u.evaluate()
-        return solve_in_basis(u.space, grading,
-                              scalar.rho_multiplier() * rho,
-                              fix * scalar.fix_multiplier(), ambiguity="raise")
+        return scalar.rho_multiplier() * rho, fix * scalar.fix_multiplier()
+
+    grading = u.grading + u.space.group.element(*scalar.grading())
+    pairs = ((mono, scalar * s) for mono, s in u.terms.items())
+    return _rewritten_or_solved(u.space, grading, pairs, evaluation)
 
 
 def normal_form(u: RingElement) -> RingElement:
-    try:
-        return _canonical(u.space, u.grading, _rewrite(u.space, dict(u.terms)))
-    except FragmentError:
-        rho, fix = u.evaluate()
-        return solve_in_basis(u.space, u.grading, rho, fix, ambiguity="raise")
+    return _rewritten_or_solved(u.space, u.grading, u.terms.items(), u.evaluate)
 
 
 def tau_transfer(u: RingElement, j: int = 1) -> RingElement:
@@ -329,95 +331,75 @@ class AmbiguousSolveError(UnsolvableError):
     """The evaluation pair does not pin down the coefficients uniquely."""
 
 
-def _exact_solve(rows: list[list[int]], rhs: list[int],
-                 ncols: int) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Row-reduce an integer system over Q, fraction-free.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(d, s, t) with s*a + t*b = d and |d| = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
 
-    Pivot p clears f from row i as p*row_i - f*row_r, then the row is
-    divided by its gcd; each row stays a multiple of its reduced echelon
-    form, so each answer entry is divided once.  Returns (particular
-    solution with free unknowns set to 0, kernel basis vectors — one per
-    free unknown).  Raises UnsolvableError when the system is inconsistent.
+
+def _restrict(x0: list[int], basis: list[list[int]], row: list[int],
+              target: int | None) -> tuple[list[int], list[list[int]]]:
+    """Cut the affine lattice x0 + Z*basis down to its points with row.x = target.
+
+    Extended-gcd column steps, each unimodular so the lattice stays the
+    same, leave one vector `step` on which the row takes g = gcd of its
+    values on the basis, and make the row vanish on all the others; the
+    point then moves along `step` and the others span the new lattice.
+    With target None the row takes the value of least absolute size, the
+    non-negative one on a tie.
     """
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        top, p = m[r], m[r][c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if i != r and f:
-                row = [p * a - f * b for a, b in zip(row, top)]
-                g = gcd(*row)
-                m[i] = [a // g for a in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for row in m[r:]:
-        if row[ncols]:
+    kept, step, g = [], None, 0
+    for vec in basis:
+        value = sum(map(mul, row, vec))
+        if not value:
+            kept.append(vec)
+        elif step is None:
+            step, g = vec, value
+        else:
+            d, s, t = _xgcd(g, value)
+            u, w = value // d, g // d
+            kept.append([u * p - w * v for p, v in zip(step, vec)])
+            step, g = [s * p + t * v for p, v in zip(step, vec)], d
+    at = sum(map(mul, row, x0))
+    if step is None:
+        if target is not None and at != target:
             raise UnsolvableError("evaluation targets are inconsistent with the basis")
-    sol = [Fraction(0)] * ncols
-    for row, c in zip(m, pivots):
-        sol[c] = Fraction(row[ncols], row[c])
-    kernel: list[list[Fraction]] = []
-    for fc in sorted(set(range(ncols)).difference(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            vec[pc] = Fraction(-row[fc], row[pc])
-        kernel.append(vec)
-    return sol, kernel
+        return x0, basis
+    if target is None:
+        target = at % abs(g)
+        if 2 * target > abs(g):
+            target -= abs(g)
+    shift, rest = divmod(target - at, g)
+    if rest:
+        raise UnsolvableError(f"no integer point: {target - at} is not a multiple of {abs(g)}")
+    return ([x + shift * p for x, p in zip(x0, step)] if shift else x0), kept
 
 
-def _tie_break(sol: list[Fraction], kernel: list[list[Fraction]],
-               pairs: list[tuple[int, int]]) -> list[Fraction]:
-    """Pick the canonical integral solution of an underdetermined solve.
+def _integer_solve(rows: list[list[int]], rhs: list[int],
+                   ncols: int) -> tuple[list[int], list[list[int]]]:
+    """The integer points of rows.x = rhs: a point and a basis of ker ∩ Z^ncols.
 
-    The solution set is sol + span(kernel); the canonical representative is
-    the integral, Burnside-parity-consistent point whose coefficients are
-    smallest from the last unknown backwards, so earlier-listed basis slots
-    absorb whatever the evaluation pair cannot attribute uniquely.
+    The lattice of (x, t) in Z^(ncols+1) with rows.x = t*rhs is cut out
+    from the identity lattice, one row at a time; then the cut t = 1 finds
+    the system inconsistent over Q when t vanishes on that lattice, and
+    with no integer point when t only takes multiples of a larger number
+    (the least denominator of a rational solution).
     """
-    if len(kernel) > 2:
-        raise AmbiguousSolveError(
-            f"evaluation pair leaves {len(kernel)} coefficients free")
-    denom = 1
-    for vec in kernel:
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    for x in sol:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    if denom > 12:
-        raise AmbiguousSolveError("tie-break search window too coarse")
-    steps = [Fraction(k, denom) for k in range(-8 * denom, 8 * denom + 1)]
-    best_key = None
-    best = None
-    for ts in product(steps, repeat=len(kernel)):
-        x = list(sol)
-        for t, vec in zip(ts, kernel):
-            if t:
-                x = [a + t * b for a, b in zip(x, vec)]
-        if any(v.denominator != 1 for v in x):
-            continue
-        if any((x[i] - x[j]) % 2 != 0 for i, j in pairs):
-            continue
-        key = tuple((abs(v), 0 if v >= 0 else 1) for v in reversed(x))
-        if best_key is None or key < best_key:
-            best_key, best = key, x
-    if best is None:
-        raise AmbiguousSolveError(
-            "no integral Burnside-consistent solution in the tie-break window")
-    return best
+    n = ncols + 1
+    x = [0] * n
+    basis = [[0] * i + [1] + [0] * (ncols - i) for i in range(n)]
+    for row, target in zip(rows, rhs):
+        x, basis = _restrict(x, basis, [*row, -target], 0)
+    x, basis = _restrict(x, basis, [0] * ncols + [1], 1)
+    return x[:ncols], [vec[:ncols] for vec in basis]
 
 
 def _dressed_slots(space: SpacePresentation, grading: GradingElement,
-                   monos: Iterable[Mono]) -> list[tuple[PointScalar, Mono, str]]:
-    """(template, slot, coefficient domain) for each slot dressed to `grading`.
+                   monos: Iterable[Mono]) -> list[tuple[PointScalar, Mono]]:
+    """(template, slot) for each slot dressed to `grading`.
 
     The template is the slot's unique point-ring dressing; slots whose
     degree gap supports no class of infinite order drop out.
@@ -429,7 +411,7 @@ def _dressed_slots(space: SpacePresentation, grading: GradingElement,
             raise ValueError(f"{grading - g} is not an RO(C2) grading")
         dressed = scalar_dressing((grading.one - g.one, grading.sigma - g.sigma))
         if dressed is not None:
-            out.append((dressed[0], mono, dressed[1]))
+            out.append((dressed[0], mono))
     return out
 
 
@@ -437,94 +419,82 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
                             rho_target: NonequivClass, fix_target: FixedTuple,
                             ansatz: Iterable[tuple[PointScalar, Mono]] | None = None,
                             ambiguity: str = "tiebreak"):
-    """Solve target = sum_i c_i * template_i * mono_i exactly.
+    """Solve target = sum_i c_i * template_i * mono_i exactly, over Z.
 
     Without an ansatz the candidates are the coset-table slots of `grading`,
     each dressed with the unique point-ring scalar filling the degree gap
-    (slots whose gap supports nothing drop out).  Coefficients live in the
-    Burnside ring where the template is a plain Burnside scalar and in Z
-    otherwise.  The equations are the coefficients of the basis keys, in
-    ring and basis order, that the target or some candidate's evaluation
-    supports; every other key would give 0 = 0.  Returns (element, records,
-    ambiguous) with one (template, mono, coefficient) record per candidate,
-    zeros included.
+    (slots whose gap supports nothing drop out).  A coefficient is a + b*g
+    in the Burnside ring, two integer unknowns, where the template is a
+    plain Burnside scalar, and an integer otherwise.  The equations are the
+    coefficients of the basis keys that the target or some candidate's
+    evaluation supports; their order does not matter.  Returns (element,
+    records, ambiguous) with one (template, mono, coefficient) record per
+    candidate, zeros included.
 
     Some cosets carry distinct classes with equal evaluation pairs (e.g. a
-    kappa-multiple of one slot against the e^-2 kappa dressing of another);
-    there the system is honestly underdetermined.  With ambiguity="tiebreak"
-    the basis-order rule above picks the canonical representative and the
-    returned flag is True; with ambiguity="raise" an AmbiguousSolveError
-    escapes instead.
+    kappa-multiple of one slot against the e^-2 kappa dressing of another).
+    With ambiguity="tiebreak" the answer is then the exact least point of
+    the solution lattice, of any dimension: from the last candidate
+    backwards, each evaluation coordinate (fix, then rho, for a Burnside
+    coefficient) of least absolute size, non-negative on a tie, so earlier
+    slots absorb what the pair cannot attribute; the flag is True.  With
+    ambiguity="raise" an AmbiguousSolveError escapes instead.
     """
     if not isinstance(fix_target, FixedTuple):
         fix_target = FixedTuple(fix_target)
-    if ansatz is None:
-        candidates = _dressed_slots(space, grading, space.coset_basis(grading))
-    else:
-        candidates = [(template, mono,
-                       "burnside" if template.shape() == (0, 0, 0, 0) else "int")
-                      for template, mono in ansatz]
+    candidates = (_dressed_slots(space, grading, space.coset_basis(grading))
+                  if ansatz is None else list(ansatz))
 
-    columns: list[tuple[int, ...]] = []  # unknown indices per candidate
-    n_unknowns = 0
-    for _, _, domain in candidates:
-        if domain == "burnside":
-            columns.append((n_unknowns, n_unknowns + 1))
-            n_unknowns += 2
-        else:
-            columns.append((n_unknowns,))
-            n_unknowns += 1
-
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-
-    evals = [space.eval_mono(mono) for _, mono, _ in candidates]
-    sides = [(space.underlying, rho_target, [
-        (t.rho_multiplier(), cols[0], rho)
-        for (t, _, _), cols, (rho, _) in zip(candidates, columns, evals)])]
-    sides += [(ring, fix_target.parts[ci], [
-        (t.fix_multiplier(), cols[-1], fix.parts[ci])
-        for (t, _, _), cols, (_, fix) in zip(candidates, columns, evals)])
-        for ci, ring in enumerate(space.fixed_rings)]
-    for ring, target, terms in sides:
-        support = set(target.coeffs).union(*(cls.coeffs for _, _, cls in terms))
-        for key in ring.basis_keys():
-            if key in support:
-                row = [0] * n_unknowns
-                for w, col, cls in terms:
-                    row[col] += w * cls.coefficient(key)
-                rows.append(row)
-                rhs.append(target.coefficient(key))
-
-    if n_unknowns == 0:
+    # per unknown: (candidate, rho weight, fix weight); a + b*g is a, weighted
+    # (1, 1), and b, weighted (2, 0)
+    burnside = [template.shape() == (0, 0, 0, 0) for template, _ in candidates]
+    unknowns: list[tuple[int, int, int]] = []
+    for k, two in enumerate(burnside):
+        unknowns += [(k, 1, 1), (k, 2, 0)] if two else [(k, 1, 1)]
+    if not unknowns:
         if rho_target or fix_target:
             raise UnsolvableError(f"nothing lives in degree {grading} of {space.name}")
         return RingElement.zero(space, grading), (), False
 
-    solution, kernel = _exact_solve(rows, rhs, n_unknowns)
-    ambiguous = bool(kernel)
-    if ambiguous:
-        if ambiguity == "raise":
-            raise AmbiguousSolveError(
-                "underdetermined solve: the evaluation pair does not separate "
-                f"the dressed basis slots in degree {grading}")
-        pairs = [cols for _, cols in zip(candidates, columns) if len(cols) == 2]
-        solution = _tie_break(solution, kernel, pairs)
-    for value in solution:
-        if value.denominator != 1:
-            raise UnsolvableError(f"non-integral coefficient {value} in degree {grading}")
+    evals = [space.eval_mono(mono) for _, mono in candidates]
+    scales = [(t.rho_multiplier(), t.fix_multiplier()) for t, _ in candidates]
+    sides = [(rho_target, [(w * scales[k][0], evals[k][0]) for k, w, _ in unknowns])]
+    sides += [(part, [(w * scales[k][1], evals[k][1].parts[ci]) for k, _, w in unknowns])
+              for ci, part in enumerate(fix_target.parts)]
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for target, terms in sides:
+        for key in set(target.coeffs).union(*(cls.coeffs for w, cls in terms if w)):
+            rows.append([w * cls.coefficient(key) if w else 0 for w, cls in terms])
+            rhs.append(target.coefficient(key))
+
+    try:
+        x, basis = _integer_solve(rows, rhs, len(unknowns))
+    except UnsolvableError as err:  # re-raised as is, so its context stays
+        err.args = (f"{err} in degree {grading} of {space.name}",)
+        raise
+    ambiguous = bool(basis)
+    if ambiguous and ambiguity == "raise":
+        raise AmbiguousSolveError(
+            "underdetermined solve: the evaluation pair does not separate "
+            f"the dressed basis slots in degree {grading}")
+    # the tie-break: from the last candidate backwards, its fix and then its
+    # rho coordinate (one and the same for an integer coefficient)
+    for k in reversed(range(len(candidates))):
+        if not basis:
+            break
+        rho_row = [w if j == k else 0 for j, w, _ in unknowns]
+        fix_row = [w if j == k else 0 for j, _, w in unknowns]
+        for row in ([fix_row, rho_row] if burnside[k] else [rho_row]):
+            x, basis = _restrict(x, basis, row, None)
 
     records = []
     terms: dict[Mono, PointScalar] = {}
-    for (template, mono, domain), cols in zip(candidates, columns):
-        if domain == "burnside":
-            coeff = burnside_solve(int(solution[cols[0]]), int(solution[cols[1]]))
-        else:
-            coeff = int(solution[cols[0]])
+    values = iter(x)
+    for (template, mono), two in zip(candidates, burnside):
+        coeff = BurnsideScalar(next(values), next(values)) if two else next(values)
         records.append((template, mono, coeff))
-        scaled = template.scale(coeff if isinstance(coeff, BurnsideScalar)
-                                else BurnsideScalar(coeff, 0))
-        _accumulate(terms, mono, scaled)
+        _accumulate(terms, mono, template.scale(coeff))
     return RingElement(space, grading, terms), tuple(records), ambiguous
 
 
@@ -687,10 +657,7 @@ def annihilator_check(space: SpacePresentation,
         return killed, True
     family = _dressed_slots(space, z.grading, space.section_family(z.grading))
     try:
-        solved = solve_in_basis(space, z.grading, *z.evaluate(),
-                                ansatz=[(t, mono) for t, mono, _ in family])
-    except AmbiguousSolveError:
-        raise
+        solved = solve_in_basis(space, z.grading, *z.evaluate(), ansatz=family)
     except UnsolvableError:
         return killed, False  # the evaluation pair is outside the family's span
     return killed, normal_form(solved) == target

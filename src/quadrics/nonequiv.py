@@ -79,14 +79,14 @@ class TruncatedRing:
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def truncated_poly(n: int, name: str | None = None, var: str = "c") -> "TruncatedRing":
+    def truncated_poly(n: int) -> "TruncatedRing":
         if n < 1:
             raise ValueError("truncation length must be positive")
 
         def reduce_fn(raw: Key) -> dict[Key, int]:
             return {raw: 1} if raw[0] < n else {}
 
-        return TruncatedRing(name or f"P{n - 1}", (var,),
+        return TruncatedRing(f"P{n - 1}", ("c",),
                              {(i,): 2 * i for i in range(n)}, reduce_fn)
 
     @staticmethod

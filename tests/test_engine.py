@@ -1,5 +1,6 @@
 """Graded elements: normal forms, products, basis solves, printing."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_decomp, smith_normal_form
 
 from quadrics import engine, presentation
 from quadrics.burnside import BurnsideScalar, UnsolvableError
@@ -261,6 +263,78 @@ def test_phantom_coset_is_ambiguous_but_tie_break_restores_slots():
         assert el == RingElement.from_mono(q22, m)
 
 
+def test_ansatz_solves_with_a_wide_kernel_or_a_large_denominator_answer():
+    # four copies of x leave six of eight unknowns free, and the template 20
+    # puts a denominator of 20 on the rational solution; both have a least
+    # integer point, which earlier slots absorb
+    x, one = BD2.mono(x=1), PointScalar.integer(1)
+    g = BD2.mono_grading(x)
+    rho, fix = BD2.eval_mono(x)
+    el, records, ambiguous = solve_with_coefficients(BD2, g, rho, fix, ansatz=[(one, x)] * 4)
+    assert ambiguous and el == elt(BD2, x=1)
+    assert [c for _, _, c in records] == [B(1, 0), B(0, 0), B(0, 0), B(0, 0)]
+    el, records, ambiguous = solve_with_coefficients(
+        BD2, g, 100 * rho, fix * 100, ansatz=[(PointScalar.integer(20), x), (one, x)])
+    assert ambiguous and el == 100 * elt(BD2, x=1)
+    assert [c for _, _, c in records] == [B(5, 0), B(0, 0)]
+
+
+def _tie_break_key(values):
+    """Smallest from the last coordinate backwards, non-negative first on a tie."""
+    return tuple((abs(v), v < 0) for v in reversed(values))
+
+
+def _assert_least_point_in_box(sp, grading, rho, fix, ansatz=None, radius=2):
+    """No solution within `radius` of the returned one, in evaluation
+    coordinates (rho and fix of a Burnside coefficient), has a smaller key."""
+    _, records, _ = solve_with_coefficients(sp, grading, rho, fix, ansatz=ansatz)
+    matrix, target, point = _dense_system(sp, records, rho, fix)
+    rows = [[int(a) for a in row] for row in matrix.tolist()]
+    target = [int(t) for t in target]
+    pairs, i = [], 0  # the index of each Burnside coefficient's rho
+    for _, _, coeff in records:
+        two = isinstance(coeff, BurnsideScalar)
+        pairs += [i] if two else []
+        i += 1 + two
+    best, solutions = _tie_break_key(point), 0
+    for offset in itertools.product(range(-radius, radius + 1), repeat=len(point)):
+        y = [p + o for p, o in zip(point, offset)]
+        if any((y[j] - y[j + 1]) % 2 for j in pairs):
+            continue  # no Burnside element has this (rho, fix)
+        if all(sum(a * b for a, b in zip(row, y)) == t for row, t in zip(rows, target)):
+            solutions += 1
+            assert _tie_break_key(y) >= best, (sp.name, str(grading), y, point)
+    assert solutions >= 1
+    return solutions
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6).filter(bool), st.integers(-3, 3),
+                          st.integers(-3, 3)), min_size=1, max_size=3))
+def test_the_tie_break_takes_the_least_point_of_the_lattice(drawn):
+    # Burnside templates on one slot: a lattice of dimension up to four
+    x = BD2.mono(x=1)
+    ansatz = [(PointScalar.integer(k), x) for k, _, _ in drawn]
+    element = RingElement(BD2, BD2.mono_grading(x), [
+        (template.scale(B(a, b)), x) for (template, _), (_, a, b) in zip(ansatz, drawn)])
+    _assert_least_point_in_box(BD2, element.grading, *element.evaluate(), ansatz=ansatz,
+                               radius=2 if len(drawn) < 3 else 1)
+
+
+def test_the_tie_break_takes_the_least_point_on_phantom_cosets():
+    q22 = load_presentation("Q22")
+    found = 0
+    for key in ((-2, -2, -2), (-3, -3, -3)):
+        for m in coset_basis(q22, key):
+            for shift in ((0, 0), (0, 2), (0, -2)):
+                template, _ = scalar_dressing(shift)
+                rho, fix = q22.eval_mono(m)
+                rho, fix = template.rho_multiplier() * rho, fix * template.fix_multiplier()
+                found += _assert_least_point_in_box(
+                    q22, q22.mono_grading(m) + q22.group.element(*shift), rho, fix) > 1
+    assert found
+
+
 def test_tau_transfer():
     assert str(tau_transfer(elt(BD2, x=1))) == "tau2*x"
     assert str(tau_transfer(elt(BD2, x=1), 2)) == "tau4*x"
@@ -336,7 +410,7 @@ def test_degree_checks_on_the_integer_path_still_fail_loudly():
 
 
 def _fraction_gauss_jordan(rows, rhs, ncols):
-    """Gauss-Jordan over Fraction: the elimination _exact_solve must match."""
+    """Gauss-Jordan over Fraction: the reference for consistency and rank."""
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     pivots = []
     r = 0
@@ -397,6 +471,18 @@ def _solve_or_error(solve, system):
         return f"{type(err).__name__}: {err}"
 
 
+def _has_integer_solution(rows, rhs):
+    """Read off the Smith form S = U*A*V: A*x = b is solvable over Z exactly
+    when S*y = U*b is, entry by entry."""
+    if not rows:
+        return True
+    smith, u, _ = smith_normal_decomp(sympy.Matrix(rows), domain=sympy.ZZ)
+    ub = u * sympy.Matrix(rhs)
+    diagonal = [smith[i, i] for i in range(min(smith.shape))]
+    diagonal += [0] * (len(rhs) - len(diagonal))
+    return all(ub[i] % d == 0 if d else ub[i] == 0 for i, d in enumerate(diagonal))
+
+
 @settings(max_examples=400, deadline=None)
 @given(integer_systems())
 @example(([[1, 2], [2, 4]], [3, 6], 2))  # rank-deficient, consistent
@@ -404,9 +490,23 @@ def _solve_or_error(solve, system):
 @example(([[0, 0, 0], [3, -5, 4]], [0, 2], 3))  # a zero row
 @example(([[0, 0]], [1], 2))  # 0 = 1
 @example(([], [], 3))  # no equations: everything is free
-def test_fraction_free_elimination_matches_gauss_jordan(system):
-    got = _solve_or_error(engine._exact_solve, system)
-    assert got == _solve_or_error(_fraction_gauss_jordan, system)
-    if not isinstance(got, str):
-        sol, kernel = got
-        assert all(type(v) is Fraction for v in sol + [v for vec in kernel for v in vec])
+@example(([[2], [2]], [1, 0], 1))  # no integer point, and inconsistent over Q
+def test_integer_solve_matches_gauss_jordan_and_the_smith_form(system):
+    rows, rhs, ncols = system
+    got = _solve_or_error(engine._integer_solve, system)
+    reference = _solve_or_error(_fraction_gauss_jordan, system)
+    inconsistent = isinstance(reference, str)
+    assert (isinstance(got, str) and "inconsistent" in got) == inconsistent
+    if inconsistent:
+        return
+    if not _has_integer_solution(rows, rhs):
+        assert isinstance(got, str) and "no integer point" in got
+        return
+    point, kernel = got
+    matrix = sympy.Matrix(len(rows), ncols, [a for row in rows for a in row])
+    assert matrix * sympy.Matrix(point) == sympy.Matrix(len(rhs), 1, rhs)
+    assert len(kernel) == len(reference[1])  # ncols - rank
+    assert all(matrix * sympy.Matrix(vec) == sympy.zeros(len(rows), 1) for vec in kernel)
+    if kernel:  # a primitive lattice of full rank in ker A is all of ker A ∩ Z^n
+        smith = smith_normal_form(sympy.Matrix(kernel).T, domain=sympy.ZZ)
+        assert all(smith[i, i] == 1 for i in range(len(kernel)))

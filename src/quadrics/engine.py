@@ -12,7 +12,11 @@ machine checks: `verify_presentation` replays all of them.
 
 Solving is over the integers: a Burnside coefficient a + b*g is two
 integer unknowns, and one primitive, `_restrict`, cuts the solution
-lattice by the equations and then picks its exact canonical point.
+lattice by the equations and then picks its exact canonical point.  The
+candidates are dressed on ints: a coset table carries its slots' (one,
+sigma) degrees, and a slot whose gap (a, b) to the target is off both
+lines a = 0 and a + b = 0, the only ones where the point ring has a class
+of infinite order, drops out before any scalar is built.
 
 Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
 applications per product) and fails loudly rather than silently
@@ -27,9 +31,9 @@ from typing import Iterable, Mapping
 
 from .burnside import BurnsideScalar, UnsolvableError
 from .grading import GradingElement
-from .nonequiv import NonequivClass
-from .presentation import (FixedTuple, Mono, SpacePresentation, Terms,
-                           mono_mul, mono_str)
+from .nonequiv import Key, NonequivClass
+from .presentation import (FixedTuple, Mono, NoFiniteTableError, SpacePresentation,
+                           Terms, mono_mul, mono_str)
 from .scalars import (ONE, FragmentError, PointScalar, scalar_dressing)
 
 DEFAULT_STEP_BOUND = 10_000
@@ -78,6 +82,13 @@ def render_terms(terms: Terms) -> str:
         else:
             chunks.append(text)
     return "".join(chunks)
+
+
+def _add_multiple(acc: dict[Key, int], n: int, cls: NonequivClass) -> None:
+    """acc += n * cls, on coefficient dicts."""
+    if n:
+        for key, c in cls.coeffs.items():
+            acc[key] = acc.get(key, 0) + n * c
 
 
 def _accumulate(acc: dict[Mono, PointScalar], mono: Mono, scalar: PointScalar) -> None:
@@ -151,14 +162,21 @@ class RingElement:
         return tuple((self.terms[m], m) for m in sorted(self.terms))
 
     def evaluate(self) -> tuple[NonequivClass, FixedTuple]:
+        """(sum of rho_multiplier * rho(m), sum of fix_multiplier * fix(m)),
+        summed on one coefficient dict per ring, one class built per ring."""
         if self._eval is None:
-            rho = NonequivClass.zero(self.space.underlying)
-            fix = FixedTuple.zero(self.space.fixed_rings)
+            space = self.space
+            rho_acc: dict[Key, int] = {}
+            fix_accs: list[dict[Key, int]] = [{} for _ in space.fixed_rings]
             for mono, scalar in self.terms.items():
-                mr, mf = self.space.eval_mono(mono)
-                rho = rho + scalar.rho_multiplier() * mr
-                fix = fix + scalar.fix_multiplier() * mf
-            self._eval = (rho, fix)
+                rho, fix = space.eval_mono(mono)
+                _add_multiple(rho_acc, scalar.rho_multiplier(), rho)
+                n = scalar.fix_multiplier()
+                for acc, part in zip(fix_accs, fix.parts):
+                    _add_multiple(acc, n, part)
+            self._eval = (NonequivClass(space.underlying, rho_acc),
+                          FixedTuple(NonequivClass(ring, acc)
+                                     for ring, acc in zip(space.fixed_rings, fix_accs)))
         return self._eval
 
     # --- arithmetic ---
@@ -258,13 +276,10 @@ def _canonical(space: SpacePresentation, grading: GradingElement,
     if not terms:
         return RingElement.zero(space, grading)
     element = RingElement(space, grading, terms)
-    if space.family == "BU1":
-        return element
     try:
         table = space.coset_basis(grading)
-    except ValueError:
-        # deep bundle cosets have no finite table; the reduced form stands
-        return element
+    except NoFiniteTableError:
+        return element  # BU1, or a deep bundle coset: the reduced form stands
     slots = set(table)
     if all(m in slots for m in element.terms):
         return element
@@ -397,19 +412,26 @@ def _integer_solve(rows: list[list[int]], rhs: list[int],
     return x[:ncols], [vec[:ncols] for vec in basis]
 
 
-def _dressed_slots(space: SpacePresentation, grading: GradingElement,
-                   monos: Iterable[Mono]) -> list[tuple[PointScalar, Mono]]:
-    """(template, slot) for each slot dressed to `grading`.
+def _dressed_slots(grading: GradingElement, monos: tuple[Mono, ...],
+                   degrees: tuple[int, ...]) -> list[tuple[PointScalar, Mono]]:
+    """(template, slot) for each slot dressed to `grading`, in slot order.
 
-    The template is the slot's unique point-ring dressing; slots whose
-    degree gap supports no class of infinite order drop out.
+    `monos` and their flat (one, sigma) `degrees` come from
+    SpacePresentation.coset_table or section_family, so the slots lie on
+    the grading's coset and the gap to it is the int pair (a, b).  The
+    template is the unique point-ring scalar of degree (a, b).  A slot off
+    both lines a = 0 and a + b = 0 has none and drops out on two int
+    tests; scalar_dressing is asked only on the lines, where an odd
+    negative sigma-degree or an odd xi or transfer degree still has none.
     """
+    one, sigma = grading.one, grading.sigma
     out = []
-    for mono in monos:
-        g = space.mono_grading(mono)
-        if g.omega != grading.omega:
-            raise ValueError(f"{grading - g} is not an RO(C2) grading")
-        dressed = scalar_dressing((grading.one - g.one, grading.sigma - g.sigma))
+    pairs = iter(degrees)
+    for mono, slot_one, slot_sigma in zip(monos, pairs, pairs):
+        a, b = one - slot_one, sigma - slot_sigma
+        if a and a + b:
+            continue
+        dressed = scalar_dressing((a, b))
         if dressed is not None:
             out.append((dressed[0], mono))
     return out
@@ -423,13 +445,13 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
 
     Without an ansatz the candidates are the coset-table slots of `grading`,
     each dressed with the unique point-ring scalar filling the degree gap
-    (slots whose gap supports nothing drop out).  A coefficient is a + b*g
-    in the Burnside ring, two integer unknowns, where the template is a
-    plain Burnside scalar, and an integer otherwise.  The equations are the
-    coefficients of the basis keys that the target or some candidate's
-    evaluation supports; their order does not matter.  Returns (element,
-    records, ambiguous) with one (template, mono, coefficient) record per
-    candidate, zeros included.
+    (slots whose gap supports nothing drop out; see _dressed_slots).  A
+    coefficient is a + b*g in the Burnside ring, two integer unknowns,
+    where the template is a plain Burnside scalar, and an integer
+    otherwise.  The equations are the coefficients of the basis keys that
+    the target or some candidate's evaluation supports; their order does
+    not matter.  Returns (element, records, ambiguous) with one (template,
+    mono, coefficient) record per candidate, zeros included.
 
     Some cosets carry distinct classes with equal evaluation pairs (e.g. a
     kappa-multiple of one slot against the e^-2 kappa dressing of another).
@@ -442,7 +464,7 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     """
     if not isinstance(fix_target, FixedTuple):
         fix_target = FixedTuple(fix_target)
-    candidates = (_dressed_slots(space, grading, space.coset_basis(grading))
+    candidates = (_dressed_slots(grading, *space.coset_table(grading))
                   if ansatz is None else list(ansatz))
 
     # per unknown: (candidate, rho weight, fix weight); a + b*g is a, weighted
@@ -655,7 +677,7 @@ def annihilator_check(space: SpacePresentation,
     target = normal_form(z)
     if target.is_zero():
         return killed, True
-    family = _dressed_slots(space, z.grading, space.section_family(z.grading))
+    family = _dressed_slots(z.grading, *space.section_family(z.grading))
     try:
         solved = solve_in_basis(space, z.grading, *z.evaluate(), ansatz=family)
     except UnsolvableError:

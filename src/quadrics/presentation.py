@@ -62,6 +62,10 @@ _UNIT_MINUS_KAPPA = PointScalar.from_burnside(ONE_MINUS_KAPPA)
 _IDENTITY_FIBRE = {name: (name,) for name in ("z0", "z1", "cw", "cxw", "divq")}
 
 
+class NoFiniteTableError(ValueError):
+    """The coset has no finite table: a deep coset of the bare bundle, or BU1."""
+
+
 class FixedTuple:
     """One cohomology class per fixed-set component, componentwise ring ops."""
 
@@ -69,10 +73,6 @@ class FixedTuple:
 
     def __init__(self, parts: Iterable[NonequivClass]):
         self.parts = tuple(parts)
-
-    @classmethod
-    def zero(cls, rings: Iterable[TruncatedRing]) -> "FixedTuple":
-        return cls(NonequivClass.zero(r) for r in rings)
 
     @classmethod
     def unit(cls, rings: Iterable[TruncatedRing]) -> "FixedTuple":
@@ -234,9 +234,10 @@ class SpacePresentation:
         self._table_cache = {}
         self._eval_cache = {}
         self._grading_cache = {}
-        self._powers = {}  # (letter, exp) -> (rho, fixed parts) of its power
+        # (letter, exp) -> its power's rho, then its fixed parts; None marks a unit
+        self._powers = {}
         self._unit_classes = (NonequivClass.unit(underlying),
-                              FixedTuple.unit(self.fixed_rings).parts)
+                              *FixedTuple.unit(self.fixed_rings).parts)
 
     def __repr__(self):
         return f"SpacePresentation({self.name}, q={self.q})"
@@ -273,30 +274,40 @@ class SpacePresentation:
     # --- evaluation ---
 
     def eval_mono(self, m: Mono) -> tuple[NonequivClass, FixedTuple]:
+        """(rho, fixed parts) of a monomial: a product of cached letter powers.
+
+        A unit power is marked None in the cache and skipped, and a ring
+        that no other factor reaches takes its unit, so nothing is ever
+        multiplied by 1.
+        """
         cached = self._eval_cache.get(m)
         if cached is not None:
             return cached
-        unit_u, units = self._unit_classes
-        rho, parts = unit_u, list(units)
+        units = self._unit_classes
+        acc: list[NonequivClass | None] = [None] * len(units)
         for name, exp in m:
             letter = self.letters[name]
             if exp >= 0:
                 power = self._powers.get((name, exp))
                 if power is None:
-                    power = self._powers[(name, exp)] = (
-                        letter.rho ** exp, tuple(v ** exp for v in letter.fix.parts))
-                rho = rho * power[0]
-                parts = [a * b for a, b in zip(parts, power[1])]
+                    power = self._powers[(name, exp)] = tuple(
+                        None if p == u else p for p, u in zip(
+                            (letter.rho ** exp, *(v ** exp for v in letter.fix.parts)),
+                            units))
+                for i, p in enumerate(power):
+                    if p is not None:
+                        acc[i] = p if acc[i] is None else acc[i] * p
             else:
                 # Divided classes: only component letters go negative, and
                 # their restrictions are units or vanish outright.
-                if letter.rho != unit_u:
+                if letter.rho != units[0]:
                     raise ValueError(f"{name} has no invertible underlying restriction")
-                for i, v in enumerate(letter.fix.parts):
+                for i, v in enumerate(letter.fix.parts, 1):
                     if not v:
-                        parts[i] = v
+                        acc[i] = v
                     elif v != units[i]:
                         raise ValueError(f"{name} has a non-unit fixed restriction")
+        rho, *parts = (u if a is None else a for a, u in zip(acc, units))
         result = (rho, FixedTuple(parts))
         self._eval_cache[m] = result
         return result
@@ -304,14 +315,18 @@ class SpacePresentation:
     # --- coset tables ---
 
     def coset_basis(self, key) -> tuple[Mono, ...]:
-        if isinstance(key, GradingElement):
-            key = key.coset_key()
-        key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
+        """The slots of one coset's table: its free basis over the point ring."""
+        return self.coset_table(key)[0]
+
+    def coset_table(self, key) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
+        """A coset's slots, and their (one, sigma) degrees as one flat int
+        tuple in slot order; the key fixes the rest of every slot's grading."""
+        key = _coset_key(key)
         cached = self._table_cache.get(key)
         if cached is not None:
             return cached
         if self.family == "BU1":
-            raise ValueError("the classifying space carries no finite coset tables")
+            raise NoFiniteTableError("the classifying space carries no finite coset tables")
         if self.family == "X1q":
             if len(key) != 1:
                 raise ValueError(f"expected a 1-component coset key, got {key}")
@@ -325,17 +340,25 @@ class SpacePresentation:
             if len(key) != 3:
                 raise ValueError(f"expected a 3-component coset key, got {key}")
             monos = self._q22_coset(key)
+        table = self._table_cache[key] = self._graded_slots(key, monos)
+        return table
+
+    def _graded_slots(self, key: tuple[int, ...], monos: Iterable[Mono]
+                      ) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
+        """Check that admissible slots lie on a coset; return them and their degrees."""
+        monos, degrees = tuple(monos), []
         for m in monos:
-            if self.mono_grading(m).coset_key() != key:
+            g = self.mono_grading(m)
+            if g.coset_key() != key:
                 raise AssertionError(f"slot {mono_str(m)} lands off-coset {key}")
             if not self.is_admissible(m):
                 raise AssertionError(f"inadmissible slot {mono_str(m)} at {key}")
-        table = tuple(monos)
-        self._table_cache[key] = table
-        return table
+            degrees += (g.one, g.sigma)
+        return monos, tuple(degrees)
 
-    def section_family(self, key) -> tuple[Mono, ...]:
-        """The admissible x-multiples that span the section ideal in a coset.
+    def section_family(self, key) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
+        """The admissible x-multiples that span the section ideal in a coset,
+        with their degrees as coset_table gives a table's.
 
         For the odd and even quadrics these are z00^-m * x * s over the
         fibre slots s of the coset's x-shift, whatever the sign of m; for
@@ -343,16 +366,16 @@ class SpacePresentation:
         table writes the same classes on xp slots.  For Q22 it is the
         table's x-family.
         """
-        if isinstance(key, GradingElement):
-            key = key.coset_key()
+        key = _coset_key(key)
         if self.family == "Q22":
-            return tuple(m for m in self.coset_basis(key) if dict(m).get("x"))
-        if self.family not in ("BD", "DD", "Gr"):
+            family = (m for m in self.coset_basis(key) if dict(m).get("x"))
+        elif self.family in ("BD", "DD", "Gr"):
+            m, n = key
+            family = (self._fibre_mono(s, {"z00": -m, "x": 1})
+                      for s in _x1q_slots(n - m + self._depth(), self.q, has_divq=True))
+        else:
             raise ValueError(f"{self.name} has no section class x")
-        m, n = key
-        family = (self._fibre_mono(s, {"z00": -m, "x": 1})
-                  for s in _x1q_slots(n - m + self._depth(), self.q, has_divq=True))
-        return tuple(mono for mono in family if self.is_admissible(mono))
+        return self._graded_slots(key, filter(self.is_admissible, family))
 
     def _depth(self) -> int:
         return self.q if self.family == "BD" else self.q - 1
@@ -428,6 +451,13 @@ class SpacePresentation:
         }
 
 
+def _coset_key(key) -> tuple[int, ...]:
+    """A coset key from a grading, a key tuple or list, or one int."""
+    if isinstance(key, GradingElement):
+        return key.coset_key()
+    return tuple(key) if isinstance(key, (tuple, list)) else (key,)
+
+
 def _x1q_slots(k: int, q: int, *, has_divq: bool) -> list[dict[str, int]]:
     """Basis slots of one fibre-bundle coset, over names z0 z1 cw cxw divq.
 
@@ -442,7 +472,7 @@ def _x1q_slots(k: int, q: int, *, has_divq: bool) -> list[dict[str, int]]:
     for j in range(q + 1):
         if j == q and k <= -q:
             if not has_divq:
-                raise ValueError(
+                raise NoFiniteTableError(
                     f"coset {k} of the q={q} bundle has no finite table "
                     "(its last slot is a divided class of the ambient quadric)")
             slots.append({"z1": k + q, "divq": 1})

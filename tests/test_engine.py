@@ -17,13 +17,24 @@ from quadrics.engine import (
     solve_in_basis, solve_with_coefficients, tau_transfer, verify_presentation,
 )
 from quadrics.presentation import (
-    MAX_Q, SpacePresentation, coset_basis, load_presentation, mono_str,
+    MAX_Q, FixedTuple, NoFiniteTableError, SpacePresentation, coset_basis,
+    load_presentation, mono_str,
 )
 from quadrics.nonequiv import NonequivClass
 from quadrics.scalars import FragmentError, PointScalar, scalar_dressing
 
 B = BurnsideScalar
 BD2 = load_presentation("Q_BD", 2)
+
+# every space that load_presentation accepts and that has coset tables (BU1 has none)
+TABLED = (
+    [("Q22", None), ("Gr222", None)]
+    + [("X1q", q) for q in range(MAX_Q + 1)]
+    + [("Q_BD", q) for q in range(MAX_Q + 1)]
+    + [("Q_DD", q) for q in range(2, MAX_Q + 1)]
+)
+# the RO(C2) shifts (one, sigma) the solve benchmark dresses a slot by
+SOLVE_SHIFTS = ((0, 0), (0, 1), (0, 2), (0, 3), (0, -2), (0, -4), (-2, 2), (2, -2))
 
 
 def elt(space, scalar=None, **exps):
@@ -335,6 +346,75 @@ def test_the_tie_break_takes_the_least_point_on_phantom_cosets():
     assert found
 
 
+def _scanned_candidates(sp, grading, monos):
+    """The dressing as a full scan: every slot's grading re-read and dressed."""
+    out = []
+    for m in monos:
+        dressed = scalar_dressing((grading - sp.mono_grading(m)).to_ro_c2())
+        if dressed:
+            out.append((dressed[0], m))
+    return out
+
+
+def test_candidates_match_the_full_dressing_scan():
+    # same templates on the same slots in table order, which the tie-break reads
+    for name, q in TABLED:
+        sp = load_presentation(name, q)
+        for key in engine._sample_keys(sp):
+            families = [sp.coset_table(key)]
+            if sp.family in ("BD", "DD", "Gr", "Q22"):
+                families.append(sp.section_family(key))
+            targets = {sp.mono_grading(slot) + sp.group.element(*shift)
+                       for slot in sp.coset_basis(key) for shift in SOLVE_SHIFTS}
+            for monos, degrees in families:
+                for g in targets:
+                    assert (engine._dressed_slots(g, monos, degrees)
+                            == _scanned_candidates(sp, g, monos)), (sp.name, key, str(g))
+
+
+_EVAL_SPACES = (("X1q", 5), ("Q_BD", 3), ("Q_DD", 4), ("Q22", None), ("Gr222", None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_EVAL_SPACES), st.integers(0, 4), st.integers(0, 40),
+       st.sampled_from(SOLVE_SHIFTS + ((-4, 4), (4, -4), (0, 5))),
+       st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=12))
+def test_evaluation_matches_the_class_arithmetic(space, key_index, slot_index, shift, coeffs):
+    # multi-term elements with Burnside, e^k, xi^k, tau_j and e^-2m*kappa
+    # templates: the one-pass sums equal the class-operator sums
+    sp = load_presentation(*space)
+    keys = engine._sample_keys(sp)
+    table = sp.coset_basis(keys[key_index % len(keys)])
+    grading = sp.mono_grading(table[slot_index % len(table)]) + sp.group.element(*shift)
+    candidates = engine._dressed_slots(grading, *sp.coset_table(grading))
+    terms = {m: t.scale(B(a, b)) for (t, m), (a, b) in zip(candidates, itertools.cycle(coeffs))}
+    element = RingElement(sp, grading, terms)
+    rho = NonequivClass.zero(sp.underlying)
+    fix = FixedTuple(NonequivClass.zero(ring) for ring in sp.fixed_rings)
+    for mono, scalar in element.terms.items():
+        mr, mf = sp.eval_mono(mono)
+        rho = rho + scalar.rho_multiplier() * mr
+        fix = fix + scalar.fix_multiplier() * mf
+    assert element.evaluate() == (rho, fix)
+
+
+def test_only_a_missing_table_keeps_the_reduced_form(monkeypatch):
+    # a deep coset of the bare bundle has no finite table: the reduced form stands
+    x1q = load_presentation("X1q", 2)
+    deep = elt(x1q, z0=3)
+    with pytest.raises(NoFiniteTableError):
+        x1q.coset_basis(deep.grading)
+    assert normal_form(deep) == deep
+    # any other failure to build a table is not swallowed
+
+    def broken(self, key):
+        raise ValueError("no table for this coset")
+
+    monkeypatch.setattr(SpacePresentation, "coset_basis", broken)
+    with pytest.raises(ValueError, match="no table for this coset"):
+        normal_form(elt(BD2, x=1))
+
+
 def test_tau_transfer():
     assert str(tau_transfer(elt(BD2, x=1))) == "tau2*x"
     assert str(tau_transfer(elt(BD2, x=1), 2)) == "tau4*x"
@@ -403,10 +483,11 @@ def test_degree_checks_on_the_integer_path_still_fail_loudly():
         with pytest.raises(ValueError, match=re.escape(
                 f"term 1*x has degree {degree}, not {wrong}")):
             RingElement(BD2, wrong, ((one, x),))
-    off = degree + BD2.group.omega(BD2.group.labels[0])
-    with pytest.raises(ValueError, match=re.escape(
-            f"{off - degree} is not an RO(C2) grading")):
-        engine._dressed_slots(BD2, off, [x])
+    # the dressing reads slot degrees only from a coset table or section
+    # family, whose slots are checked against the coset key when built
+    off = (degree + BD2.group.omega(BD2.group.labels[0])).coset_key()
+    with pytest.raises(AssertionError, match=re.escape(f"slot x lands off-coset {off}")):
+        BD2._graded_slots(off, [x])
 
 
 def _fraction_gauss_jordan(rows, rhs, ncols):

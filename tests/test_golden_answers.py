@@ -1,0 +1,136 @@
+"""Standing answers: what a change that claims to keep every answer must keep.
+
+`data/golden_answers.json` holds, byte for byte, the `--json` output of
+`verify` on the 52 spaces that load at MAX_Q = 16 and of `lines27` for
+both parities, and the printed element, records and ambiguity flag of
+256 seeded coefficient solves drawn through the public API.  The q grid
+is written out, so raising MAX_Q changes none of it.
+
+Regenerate the file only from a commit whose answers are known good:
+
+    PYTHONPATH=src python tests/test_golden_answers.py --regenerate
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+import random
+import sys
+from pathlib import Path
+
+from quadrics import (BurnsideScalar, RingElement, coset_basis, load_presentation,
+                      mono_str, run, scalar_dressing, solve_with_coefficients)
+
+DATA = Path(__file__).parent / "data" / "golden_answers.json"
+
+VERIFY_SPACES = (
+    [("BU1", None), ("Q22", None), ("Gr222", None)]
+    + [("X1q", q) for q in range(17)]
+    + [("Q_BD", q) for q in range(17)]
+    + [("Q_DD", q) for q in range(2, 17)]
+)
+SOLVE_SPACES = (("X1q", 5), ("Q_BD", 2), ("Q_BD", 7), ("Q_DD", 4), ("Q_DD", 9),
+                ("Q22", None), ("Gr222", None))
+# RO(C2) shifts (one, sigma): every kind of point-ring dressing, and none
+SHIFTS = ((0, 0), (0, 1), (0, 3), (0, -2), (0, -4), (2, -2), (-2, 2), (1, 0))
+SOLVE_SEED, SOLVE_COUNT = 2024, 256
+
+
+def _cli_json(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run(argv + ["--json"])
+    return out.getvalue()
+
+
+def _verify_argv(name: str, q: int | None) -> list[str]:
+    return ["verify", name] + ([] if q is None else ["--q", str(q)])
+
+
+def verify_answers() -> dict[str, str]:
+    return {" ".join(argv): _cli_json(argv)
+            for argv in (_verify_argv(name, q) for name, q in VERIFY_SPACES)}
+
+
+def lines27_answers() -> dict[str, str]:
+    return {parity: _cli_json(["lines27", "--parity", parity])
+            for parity in ("even", "odd")}
+
+
+def solve_answers() -> list[dict]:
+    """Seeded combinations of dressed table slots, solved from their evaluations."""
+    rng = random.Random(SOLVE_SEED)
+    per_space = []
+    for name, q in SOLVE_SPACES:
+        space, tables = load_presentation(name, q), []
+        for key in itertools.product(range(-3, 4), repeat=len(space.group.labels) - 1):
+            try:
+                table = coset_basis(space, key)
+            except (ValueError, AssertionError):
+                continue  # no finite table, or not a coset of this space
+            if table:
+                tables.append(table)
+        per_space.append((space, tables))
+    answers = []
+    for _ in range(SOLVE_COUNT):
+        space, tables = rng.choice(per_space)
+        table = rng.choice(tables)
+        grading = space.mono_grading(rng.choice(table)) + space.group.element(*rng.choice(SHIFTS))
+        terms = {}
+        for mono in table:
+            dressed = scalar_dressing((grading - space.mono_grading(mono)).to_ro_c2())
+            if dressed is None:
+                continue
+            template, domain = dressed
+            coeff = BurnsideScalar(rng.randint(-3, 3),
+                                   rng.randint(-3, 3) if domain == "burnside" else 0)
+            if coeff:
+                terms[mono] = template.scale(coeff)
+        drawn = RingElement(space, grading, terms)
+        element, records, ambiguous = solve_with_coefficients(space, grading, *drawn.evaluate())
+        answers.append({
+            "space": space.name,
+            "degree": str(grading),
+            "drawn": str(drawn),
+            "element": str(element),
+            "records": [f"{coeff} * {template} * {mono_str(mono)}"
+                        for template, mono, coeff in records],
+            "ambiguous": ambiguous,
+        })
+    return answers
+
+
+def _golden() -> dict:
+    return json.loads(DATA.read_text(encoding="utf-8"))
+
+
+def test_verify_answers_are_unchanged():
+    golden = _golden()["verify"]
+    assert len(golden) == len(VERIFY_SPACES) == 52
+    assert verify_answers() == golden
+
+
+def test_lines27_answers_are_unchanged():
+    assert lines27_answers() == _golden()["lines27"]
+
+
+def test_seeded_solves_are_unchanged():
+    golden = _golden()["solve"]
+    assert len(golden) == SOLVE_COUNT
+    assert solve_answers() == golden
+
+
+def regenerate() -> None:
+    DATA.parent.mkdir(exist_ok=True)
+    data = {"verify": verify_answers(), "lines27": lines27_answers(),
+            "solve": solve_answers()}
+    DATA.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(f"usage: {sys.argv[0]} --regenerate")
+    regenerate()

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from quadrics import engine
 from quadrics.cli import ZETA_NAMES, parse
 from quadrics.nonequiv import NonequivClass
 from quadrics.presentation import (
@@ -259,6 +260,32 @@ def test_letter_powers_equal_repeated_multiplication():
                 rho, fix = rho * letter.rho, fix * letter.fix
                 got = sp.eval_mono(sp.mono({letter.name: exp}))
                 assert got == (rho, fix), (sp.name, letter.name, exp)
+
+
+def _naive_power(v, exp):
+    """v^exp; a divided letter restricts to the unit, its own inverse, or to 0."""
+    if exp >= 0:
+        return v ** exp
+    assert not v or v == NonequivClass.unit(v.ring)
+    return v
+
+
+def test_eval_mono_equals_the_naive_product_on_every_sampled_slot():
+    # no unit factor is multiplied in, so compare with the product that
+    # multiplies every letter power in, units included
+    for name, q in LOADABLE:
+        sp = load_presentation(name, q)
+        if sp.family == "BU1":
+            continue  # no coset tables
+        for key in engine._sample_keys(sp):
+            for m in coset_basis(sp, key):
+                rho = NonequivClass.unit(sp.underlying)
+                fix = FixedTuple.unit(sp.fixed_rings)
+                for letter_name, exp in m:
+                    letter = sp.letters[letter_name]
+                    rho = rho * _naive_power(letter.rho, exp)
+                    fix = fix * FixedTuple(_naive_power(v, exp) for v in letter.fix.parts)
+                assert sp.eval_mono(m) == (rho, fix), (sp.name, mono_str(m))
 
 
 def test_annihilator_pairs_are_declared_where_sections_split():

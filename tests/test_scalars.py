@@ -138,6 +138,14 @@ def test_dressing_enumeration():
     assert scalar_dressing((-3, 3)) is None
 
 
+def test_dressing_lives_only_on_the_two_lines():
+    # the candidate dressing skips a gap (a, b) with a != 0 and a + b != 0 unasked
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if a and a + b:
+                assert scalar_dressing((a, b)) is None, (a, b)
+
+
 def test_dressing_matches_grading():
     for a in range(-6, 7):
         for b in range(-6, 7):

@@ -54,12 +54,12 @@ from .engine import (RingElement, normal_form, render_terms,
                      solve_with_coefficients, verify_presentation)
 from .enumerative import PARITIES, euler_sym3
 from .nonequiv import NonequivClass, TruncatedRing
-from .presentation import (SpacePresentation, load_presentation, mono_str,
+from .presentation import (_FAMILIES, SpacePresentation, load_presentation, mono_str,
                            FixedTuple)
 from .scalars import ONE, FragmentError, PointScalar
 
 ZETA_NAMES = frozenset(("z00", "z11", "z01", "z10", "z0", "z1"))
-SPACES = ("BU1", "X1q", "Q_BD", "Q_DD", "Q22", "Gr222")
+SPACES = tuple(_FAMILIES)
 
 _SCALAR_HELP = """\
 token           meaning

@@ -461,6 +461,12 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     coefficient) of least absolute size, non-negative on a tie, so earlier
     slots absorb what the pair cannot attribute; the flag is True.  With
     ambiguity="raise" an AmbiguousSolveError escapes instead.
+
+    The flag counts only the lattice kernel.  A slot whose gap is the
+    degree of a 2-torsion class e^k*xi^j (k, j >= 1) has no candidate at
+    all: the class evaluates to 0 under both maps, so no solve can see a
+    term on it, and re-solving an element that carries one drops that
+    term without flagging anything.
     """
     if not isinstance(fix_target, FixedTuple):
         fix_target = FixedTuple(fix_target)
@@ -654,12 +660,18 @@ def annihilator_check(space: SpacePresentation,
     """Decide (partner * z == 0, z in the section ideal) independently.
 
     The two booleans agree exactly when the annihilator of the section
-    class is the principal ideal on the complementary class.  Only the
-    families with a single ruling through the distinguished section
-    satisfy that law.  In the two-ruling even quadrics the complementary
-    section is disjoint from x, and whether it lies in x's ruling depends
-    on the parity of q; either way the law fails there, so asking for it
-    is an error rather than a false negative.
+    class is the principal ideal on the complementary class.  The law is
+    asked only of the families with a single ruling through the
+    distinguished section, and even there it is not an identity: on
+    Q_BD(1) the partner xp kills z00*xp and z00*z11^-1*xp, yet their
+    evaluation pair (y, (0, 0, y)) is not reached by x times any point-ring
+    combination of the shifted coset's whole table (the solve has no
+    integer point: 1 is not a multiple of 2), so, as far as the tables
+    span, neither is an x-multiple and the answer is (True, False).  In
+    the two-ruling even quadrics the complementary section is disjoint
+    from x, and whether it lies in x's ruling depends on the parity of q;
+    either way the law fails there, so asking for it is an error rather
+    than a false negative.
 
     Membership is decided by span, not by syntax: z is a member when the
     solve of its evaluation against the coset's section family (see

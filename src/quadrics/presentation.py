@@ -38,7 +38,7 @@ verification, the line count -- is generic over this data.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Mapping
 
 from .burnside import ONE_MINUS_KAPPA
@@ -320,26 +320,33 @@ class SpacePresentation:
 
     def coset_table(self, key) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
         """A coset's slots, and their (one, sigma) degrees as one flat int
-        tuple in slot order; the key fixes the rest of every slot's grading."""
+        tuple in slot order; the key fixes the rest of every slot's grading.
+
+        A table is its blocks (see _block) in prefix order: X1q has one,
+        with the empty prefix; a quadric has z11^m and z00^-m*x when m >= 0,
+        z00^-m and z11^m*xp when m < 0; Q22 has its zeta prefix and
+        z00^-m*z01^-n*x, where n = key[2] - key[1].
+        """
         key = _coset_key(key)
         cached = self._table_cache.get(key)
         if cached is not None:
             return cached
         if self.family == "BU1":
             raise NoFiniteTableError("the classifying space carries no finite coset tables")
+        self._check_width(key)
+        m = key[0]
         if self.family == "X1q":
-            if len(key) != 1:
-                raise ValueError(f"expected a 1-component coset key, got {key}")
-            monos = [self._fibre_mono(s) for s in
-                     _x1q_slots(key[0], self.q, has_divq=False)]
-        elif self.family in ("BD", "DD", "Gr"):
-            if len(key) != 2:
-                raise ValueError(f"expected a 2-component coset key, got {key}")
-            monos = self._quadric_coset(key)
-        else:  # Q22
-            if len(key) != 3:
-                raise ValueError(f"expected a 3-component coset key, got {key}")
-            monos = self._q22_coset(key)
+            prefixes = ({},)
+        elif self.family == "Q22":
+            n = key[2] - key[1]
+            zeta = {"z11": m} if m >= 0 else {"z00": -m}
+            zeta.update({"z10": n} if n >= 0 else {"z01": -n})
+            prefixes = (zeta, self._x_prefix(key))
+        elif m >= 0:
+            prefixes = ({"z11": m}, self._x_prefix(key))
+        else:
+            prefixes = ({"z00": -m}, {"z11": m, "xp": 1})
+        monos = [mono for prefix in prefixes for mono in self._block(key, prefix)]
         table = self._table_cache[key] = self._graded_slots(key, monos)
         return table
 
@@ -360,70 +367,47 @@ class SpacePresentation:
         """The admissible x-multiples that span the section ideal in a coset,
         with their degrees as coset_table gives a table's.
 
-        For the odd and even quadrics these are z00^-m * x * s over the
-        fibre slots s of the coset's x-shift, whatever the sign of m; for
-        m >= 0 that is exactly the table's x-family, while for m < 0 the
-        table writes the same classes on xp slots.  For Q22 it is the
-        table's x-family.
+        They are the admissible slots of the coset's z00^-m*x block
+        (z00^-m*z01^-n*x on Q22), whatever the sign of m.  On Q22, and on
+        a quadric when m >= 0, that is exactly the table's x-slots; when
+        m < 0 a quadric's table writes the same classes on xp slots.
         """
         key = _coset_key(key)
-        if self.family == "Q22":
-            family = (m for m in self.coset_basis(key) if dict(m).get("x"))
-        elif self.family in ("BD", "DD", "Gr"):
-            m, n = key
-            family = (self._fibre_mono(s, {"z00": -m, "x": 1})
-                      for s in _x1q_slots(n - m + self._depth(), self.q, has_divq=True))
-        else:
+        if "x" not in self.letters:
             raise ValueError(f"{self.name} has no section class x")
+        self._check_width(key)
+        family = self._block(key, self._x_prefix(key))
         return self._graded_slots(key, filter(self.is_admissible, family))
 
-    def _depth(self) -> int:
-        return self.q if self.family == "BD" else self.q - 1
+    def _check_width(self, key: tuple[int, ...]) -> None:
+        width = len(self.group.labels) - 1
+        if len(key) != width:
+            raise ValueError(f"expected a {width}-component coset key, got {key}")
 
-    def _fibre_mono(self, slot: Mapping[str, int],
-                    extra: Mapping[str, int] | None = None) -> Mono:
-        return _lift(self.fibre, self.letter_order, slot, extra)
+    def _x_prefix(self, key: tuple[int, ...]) -> dict[str, int]:
+        prefix = {"z00": -key[0], "x": 1}
+        if self.family == "Q22":
+            prefix["z01"] = key[1] - key[2]
+        return prefix
 
-    def _quadric_coset(self, key: tuple[int, int]) -> list[Mono]:
-        m, n = key
-        q = self.q
-        depth = self._depth()
-        if m >= 0:
-            first_prefix, k1 = {"z11": m}, n
-            x_prefix, section, k2 = {"z00": -m}, "x", n - m + depth
-        else:
-            first_prefix, k1 = {"z00": -m}, n - m
-            x_prefix, section, k2 = {"z11": m}, "xp", n + depth
-        monos = [self._fibre_mono(s, first_prefix)
-                 for s in _x1q_slots(k1, q, has_divq=True)]
-        x_prefix[section] = 1
-        monos += [self._fibre_mono(s, x_prefix)
-                  for s in _x1q_slots(k2, q, has_divq=True)]
-        return monos
+    def _block(self, key: tuple[int, ...], prefix: Mapping[str, int]) -> list[Mono]:
+        """The fibre slots at offset k, lifted and multiplied by `prefix`.
 
-    def _q22_coset(self, key: tuple[int, int, int]) -> list[Mono]:
-        k1, k2, k3 = key
-        m, n = k1, k3 - k2
-        prefix = {"z11": m} if m >= 0 else {"z00": -m}
-        if n >= 0:
-            prefix["z10"] = n
-        else:
-            prefix["z01"] = -n
-        pk = self.mono_grading(self.mono(prefix)).coset_key()
-        kappa_off = k2 - pk[1]
-        if k3 - pk[2] != kappa_off:
+        Each lifted z1 adds z1's coset key, whose last component is 1, so k
+        is what the prefix leaves of the key's last component, and the whole
+        key must be the prefix's key plus k lifted z1's.  The fibre is
+        P(C + C^q sigma), with q = 1 on Q22; its divided class exists when
+        the letters it lifts to do.
+        """
+        lift = lambda slot, extra=None: _lift(self.fibre, self.letter_order, slot, extra)
+        base = self.mono_grading(self.mono(prefix)).coset_key()
+        step = self.mono_grading(lift({"z1": 1})).coset_key()
+        k = key[-1] - base[-1]
+        if key != tuple(b + k * s for b, s in zip(base, step)):
             raise AssertionError(f"incoherent coset key {key}")
-        monos = [self._fibre_mono(s, prefix)
-                 for s in _x1q_slots(kappa_off, 1, has_divq=True)]
-
-        x_prefix = {"z00": -m, "z01": -n, "x": 1}
-        pk = self.mono_grading(self.mono(x_prefix)).coset_key()
-        s_off = k2 - pk[1]
-        if k3 - pk[2] != s_off:
-            raise AssertionError(f"incoherent coset key {key}")
-        monos += [self._fibre_mono(s, x_prefix)
-                  for s in _x1q_slots(s_off, 1, has_divq=True)]
-        return monos
+        has_divq = all(own in self.letters for own in self.fibre["divq"])
+        return [lift(slot, prefix) for slot in
+                _x1q_slots(k, 1 if self.q is None else self.q, has_divq=has_divq)]
 
     # --- serialization ---
 
@@ -841,13 +825,14 @@ def _build_q22() -> SpacePresentation:
         fibre=fibre, annihilator_pair=("x", "x0"))
 
 
+# name -> (least q, greatest q, builder); a family without a range takes no q
 _FAMILIES = {
-    "BU1": (None, None),
-    "X1q": (0, MAX_Q),
-    "Q_BD": (0, MAX_Q),
-    "Q_DD": (2, MAX_Q),
-    "Gr222": (None, None),
-    "Q22": (None, None),
+    "BU1": (None, None, _build_bu1),
+    "X1q": (0, MAX_Q, _build_x1q),
+    "Q_BD": (0, MAX_Q, partial(_build_quadric, "BD")),
+    "Q_DD": (2, MAX_Q, partial(_build_quadric, "DD")),
+    "Q22": (None, None, _build_q22),
+    "Gr222": (None, None, partial(_build_quadric, "Gr", 2)),
 }
 
 
@@ -862,26 +847,16 @@ def load_presentation(name: str, q: int | None = None) -> SpacePresentation:
     """
     if name not in _FAMILIES:
         raise ValueError(f"unknown space {name!r}; expected one of {sorted(_FAMILIES)}")
-    lo, hi = _FAMILIES[name]
+    lo, hi, build = _FAMILIES[name]
     if lo is None:
         if q is not None:
             raise ValueError(f"{name} does not take a parameter q")
-    else:
-        if q is None:
-            raise ValueError(f"{name} needs the bundle parameter q")
-        if not (lo <= q <= hi):
-            raise ValueError(f"q={q} out of range [{lo}, {hi}] for {name}")
-    if name == "BU1":
-        return _build_bu1()
-    if name == "X1q":
-        return _build_x1q(q)
-    if name == "Q_BD":
-        return _build_quadric("BD", q)
-    if name == "Q_DD":
-        return _build_quadric("DD", q)
-    if name == "Gr222":
-        return _build_quadric("Gr", 2)
-    return _build_q22()
+        return build()
+    if q is None:
+        raise ValueError(f"{name} needs the bundle parameter q")
+    if not (lo <= q <= hi):
+        raise ValueError(f"q={q} out of range [{lo}, {hi}] for {name}")
+    return build(q)
 
 
 def coset_basis(space: SpacePresentation, key) -> tuple[Mono, ...]:

@@ -18,7 +18,7 @@ from quadrics.engine import (
 )
 from quadrics.presentation import (
     MAX_Q, FixedTuple, NoFiniteTableError, SpacePresentation, coset_basis,
-    load_presentation, mono_str,
+    load_presentation, mono_mul, mono_str,
 )
 from quadrics.nonequiv import NonequivClass
 from quadrics.scalars import FragmentError, PointScalar, scalar_dressing
@@ -84,6 +84,21 @@ def test_section_ideal_membership_is_decided_by_span():
     assert annihilator_check(bd3, z) == (True, True)
     # a class outside the ideal stays outside
     assert annihilator_check(bd3, elt(bd3, cw=1)) == (False, False)
+
+
+def test_xp_kills_two_q_bd1_classes_that_are_no_x_multiples():
+    # not a section family too small: x times the shifted coset's whole
+    # table cannot reach their evaluation pair either
+    bd1 = load_presentation("Q_BD", 1)
+    x = bd1.mono(x=1)
+    for z in (elt(bd1, z00=1, z11=-1, xp=1), elt(bd1, z00=1, xp=1)):
+        assert annihilator_check(bd1, z) == (True, False)
+        monos = (mono_mul(x, s, bd1.letter_order)
+                 for s in coset_basis(bd1, z.grading - bd1.mono_grading(x)))
+        family = engine._dressed_slots(
+            z.grading, *bd1._graded_slots(z.grading.coset_key(), monos))
+        with pytest.raises(UnsolvableError, match="1 is not a multiple of 2"):
+            solve_with_coefficients(bd1, z.grading, *z.evaluate(), ansatz=family)
 
 
 def test_divided_class_square_closes_in_the_basis():
@@ -463,11 +478,13 @@ def test_verify_presentation_report_shape():
 
 
 def test_verify_records_a_product_that_cannot_be_solved(monkeypatch):
-    # with the last slot dropped from every Q22 table nothing lives in
-    # degree 2 + 2s, so the bundle-factor product cannot be re-solved
-    q22_coset = SpacePresentation._q22_coset
-    monkeypatch.setattr(SpacePresentation, "_q22_coset",
-                        lambda self, key: q22_coset(self, key)[:-1])
+    # with the last slot dropped from every Q22 table (the last slot of its
+    # x block) nothing lives in degree 2 + 2s, so the bundle-factor product
+    # cannot be re-solved
+    block = SpacePresentation._block
+    monkeypatch.setattr(SpacePresentation, "_block", lambda self, key, prefix: (
+        block(self, key, prefix)[:-1] if self.family == "Q22" and "x" in prefix
+        else block(self, key, prefix)))
     report = verify_presentation(presentation._build_q22())
     assert report["checks"]["identification:bundle-factor"] is False
     assert ("identification:bundle-factor: nothing lives in degree 2 + 2s of Q22"

@@ -2,9 +2,10 @@
 
 `data/golden_answers.json` holds, byte for byte, the `--json` output of
 `verify` on the 52 spaces that load at MAX_Q = 16 and of `lines27` for
-both parities, and the printed element, records and ambiguity flag of
-256 seeded coefficient solves drawn through the public API.  The q grid
-is written out, so raising MAX_Q changes none of it.
+both parities, the printed element, records and ambiguity flag of 256
+seeded coefficient solves drawn through the public API, and per space one
+sha256 over the printed coset tables and section families on a key grid.
+The q grid is written out, so raising MAX_Q changes none of it.
 
 Regenerate the file only from a commit whose answers are known good:
 
@@ -14,6 +15,7 @@ Regenerate the file only from a commit whose answers are known good:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -37,6 +39,8 @@ SOLVE_SPACES = (("X1q", 5), ("Q_BD", 2), ("Q_BD", 7), ("Q_DD", 4), ("Q_DD", 9),
 # RO(C2) shifts (one, sigma): every kind of point-ring dressing, and none
 SHIFTS = ((0, 0), (0, 1), (0, 3), (0, -2), (0, -4), (2, -2), (-2, 2), (1, 0))
 SOLVE_SEED, SOLVE_COUNT = 2024, 256
+# coset keys per key width: [-7, 7] per component, [-4, 4] on Q22's three
+TABLE_KEYS = {1: range(-7, 8), 2: range(-7, 8), 3: range(-4, 5)}
 
 
 def _cli_json(argv: list[str]) -> str:
@@ -103,6 +107,34 @@ def solve_answers() -> list[dict]:
     return answers
 
 
+def _printed_query(query, key) -> str:
+    """One coset_table or section_family answer: its slots and degrees, or the
+    type of the error it raises."""
+    try:
+        monos, degrees = query(key)
+    except (ValueError, AssertionError) as err:
+        return type(err).__name__
+    return " ".join(map(mono_str, monos)) + f" {degrees}"
+
+
+def table_answers() -> dict[str, str]:
+    """Per space, a sha256 over every table and section family on the key
+    grid, and on one key too wide and one too narrow."""
+    answers = {}
+    for name, q in VERIFY_SPACES:
+        space = load_presentation(name, q)
+        width = len(space.group.labels) - 1
+        keys = [*itertools.product(TABLE_KEYS[width], repeat=width),
+                (0,) * (width + 1), (0,) * (width - 1)]
+        digest = hashlib.sha256()
+        for key in keys:
+            for query in (space.coset_table, space.section_family):
+                digest.update(f"{key} {query.__name__}: {_printed_query(query, key)}\n"
+                              .encode())
+        answers[" ".join(_verify_argv(name, q)[1:])] = digest.hexdigest()
+    return answers
+
+
 def _golden() -> dict:
     return json.loads(DATA.read_text(encoding="utf-8"))
 
@@ -123,10 +155,16 @@ def test_seeded_solves_are_unchanged():
     assert solve_answers() == golden
 
 
+def test_coset_tables_and_section_families_are_unchanged():
+    golden = _golden()["tables"]
+    assert len(golden) == len(VERIFY_SPACES)
+    assert table_answers() == golden
+
+
 def regenerate() -> None:
     DATA.parent.mkdir(exist_ok=True)
     data = {"verify": verify_answers(), "lines27": lines27_answers(),
-            "solve": solve_answers()}
+            "solve": solve_answers(), "tables": table_answers()}
     DATA.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 

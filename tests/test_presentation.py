@@ -1,5 +1,6 @@
 """Space presentations: catalogues, coset tables, evaluation, serialization."""
 
+import itertools
 import json
 import random
 
@@ -9,8 +10,8 @@ from quadrics import engine
 from quadrics.cli import ZETA_NAMES, parse
 from quadrics.nonequiv import NonequivClass
 from quadrics.presentation import (
-    MAX_Q, FixedTuple, SpacePresentation, coset_basis, load_presentation,
-    mono_mul, mono_str,
+    MAX_Q, FixedTuple, NoFiniteTableError, SpacePresentation, coset_basis,
+    load_presentation, mono_mul, mono_str,
 )
 from quadrics.scalars import PointScalar
 
@@ -211,6 +212,45 @@ def test_coset_tables_are_graded_and_admissible():
             for m in coset_basis(sp, key):
                 assert sp.mono_grading(m).coset_key() == key
                 assert sp.is_admissible(m)
+
+
+def test_every_coset_table_has_one_slot_per_fixed_cell():
+    # a coset summand is free on one generator per cell, and the cells meet
+    # the fixed sets in sum_c rank H*(X^c) cells
+    tables = 0
+    for name, q in LOADABLE:
+        sp = load_presentation(name, q)
+        if sp.family == "BU1":
+            continue  # no coset tables
+        rank = sum(r.rank() for r in sp.fixed_rings)
+        for key in itertools.product(range(-5, 6), repeat=len(sp.group.labels) - 1):
+            try:
+                table = coset_basis(sp, key)
+            except NoFiniteTableError:
+                continue  # a deep coset of the bare bundle
+            assert len(table) == rank, (sp.name, key)
+            tables += 1
+    assert tables == 5496
+
+
+def test_section_family_is_the_tables_x_block():
+    # wherever the table writes the section family on x: on a quadric
+    # coset with m >= 0, and on every Q22 coset
+    keys = 0
+    for name, q in LOADABLE:
+        sp = load_presentation(name, q)
+        if "x" not in sp.letters:
+            continue  # BU1 and X1q have no section class
+        grid = (itertools.product(range(-3, 4), repeat=3) if sp.family == "Q22"
+                else itertools.product(range(6), range(-5, 6)))
+        for key in grid:
+            monos, degrees = sp.coset_table(key)
+            x_slots = [i for i, m in enumerate(monos) if dict(m).get("x")]
+            assert sp.section_family(key) == (
+                tuple(monos[i] for i in x_slots),
+                tuple(d for i in x_slots for d in degrees[2 * i:2 * i + 2])), (sp.name, key)
+            keys += 1
+    assert keys == 2521
 
 
 def test_generator_evaluation_samples():

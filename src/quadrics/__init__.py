@@ -26,8 +26,8 @@ Layers, bottom up:
 from .burnside import (BurnsideScalar, UnsolvableError, burnside_mul,
                        burnside_solve)
 from .engine import (AmbiguousSolveError, RingElement, annihilator_check,
-                     multiply, normal_form, solve_in_basis,
-                     solve_with_coefficients, verify_presentation)
+                     multiply, normal_form, solve_with_coefficients,
+                     verify_presentation)
 from .enumerative import LineCountResult, euler_sym3, sym3_grading
 from .grading import GradingElement, GradingGroup
 from .nonequiv import (NonequivClass, TruncatedRing, euler_fixed_sym3,
@@ -67,7 +67,6 @@ __all__ = [
     "parse",
     "run",
     "scalar_dressing",
-    "solve_in_basis",
     "solve_with_coefficients",
     "sym3_grading",
     "verify_presentation",

@@ -271,66 +271,50 @@ def _rewrite(space: SpacePresentation, terms: Mapping[Mono, PointScalar]) -> dic
     return out
 
 
-def _canonical(space: SpacePresentation, grading: GradingElement,
-               terms: dict[Mono, PointScalar]) -> RingElement:
-    if not terms:
-        return RingElement.zero(space, grading)
-    element = RingElement(space, grading, terms)
-    try:
-        table = space.coset_basis(grading)
-    except NoFiniteTableError:
-        return element  # BU1, or a deep bundle coset: the reduced form stands
-    slots = set(table)
-    if all(m in slots for m in element.terms):
-        return element
-    rho, fix = element.evaluate()
-    try:
-        return solve_in_basis(space, grading, rho, fix, ambiguity="raise")
-    except AmbiguousSolveError:
-        # The evaluation pair cannot place this class in the table uniquely;
-        # the rewritten form is exact as it stands, so keep it.
-        return element
-
-
-def _rewritten_or_solved(space: SpacePresentation, grading: GradingElement,
-                         pairs: Iterable[tuple[Mono, PointScalar]],
-                         evaluation) -> RingElement:
-    """Rewrite and canonicalise the sum of (mono, scalar) pairs.
-
-    When a scalar leaves the point-ring fragment, forming or rewriting the
-    (lazily read) pairs, the class is solved from evaluation() instead.
-    """
-    try:
-        terms: dict[Mono, PointScalar] = {}
-        for mono, scalar in pairs:
-            _accumulate(terms, mono, scalar)
-        return _canonical(space, grading, _rewrite(space, terms))
-    except FragmentError:
-        return solve_in_basis(space, grading, *evaluation(), ambiguity="raise")
-
-
 def multiply(u: RingElement, v: RingElement) -> RingElement:
+    """The product u*v: its termwise products, rewritten to a fixpoint.
+
+    The rewritten form stands when it is zero, when its coset has no finite
+    table, when it lies on the table's slots, or when its evaluation pair
+    cannot place it in the table uniquely; otherwise it is re-solved from
+    that pair.  When a scalar leaves the point-ring fragment, forming or
+    rewriting the products, the class is solved from the product of the
+    factors' evaluations instead.
+    """
     if u.space is not v.space:
         raise ValueError("elements live over different spaces")
-    order = u.space.letter_order
-    pairs = ((mono_mul(m1, m2, order), s1 * s2)
-             for m1, s1 in u.terms.items() for m2, s2 in v.terms.items())
-    return _rewritten_or_solved(u.space, u.grading + v.grading, pairs, lambda: [
-        a * b for a, b in zip(u.evaluate(), v.evaluate())])
+    space, grading = u.space, u.grading + v.grading
+    order = space.letter_order
+    try:
+        terms: dict[Mono, PointScalar] = {}
+        for m1, s1 in u.terms.items():
+            for m2, s2 in v.terms.items():
+                _accumulate(terms, mono_mul(m1, m2, order), s1 * s2)
+        element = RingElement(space, grading, _rewrite(space, terms))
+        if not element.terms:
+            return element
+        try:
+            slots = set(space.coset_basis(grading))
+        except NoFiniteTableError:
+            return element  # BU1, or a deep bundle coset: the reduced form stands
+        if slots.issuperset(element.terms):
+            return element
+        try:
+            return solve_with_coefficients(space, grading, *element.evaluate(),
+                                           ambiguity="raise")[0]
+        except AmbiguousSolveError:
+            return element  # exact as it stands
+    except FragmentError:
+        rho, fix = (a * b for a, b in zip(u.evaluate(), v.evaluate()))
+        return solve_with_coefficients(space, grading, rho, fix, ambiguity="raise")[0]
 
 
 def scalar_multiple(u: RingElement, scalar: PointScalar) -> RingElement:
-    def evaluation():
-        rho, fix = u.evaluate()
-        return scalar.rho_multiplier() * rho, fix * scalar.fix_multiplier()
-
-    grading = u.grading + u.space.group.element(*scalar.grading())
-    pairs = ((mono, scalar * s) for mono, s in u.terms.items())
-    return _rewritten_or_solved(u.space, grading, pairs, evaluation)
+    return multiply(u, RingElement.from_mono(u.space, (), scalar))
 
 
 def normal_form(u: RingElement) -> RingElement:
-    return _rewritten_or_solved(u.space, u.grading, u.terms.items(), u.evaluate)
+    return multiply(u, RingElement.one(u.space))
 
 
 def tau_transfer(u: RingElement, j: int = 1) -> RingElement:
@@ -526,13 +510,6 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     return RingElement(space, grading, terms), tuple(records), ambiguous
 
 
-def solve_in_basis(space: SpacePresentation, grading: GradingElement,
-                   rho_target: NonequivClass, fix_target: FixedTuple,
-                   ansatz=None, ambiguity: str = "tiebreak") -> RingElement:
-    return solve_with_coefficients(space, grading, rho_target, fix_target,
-                                   ansatz=ansatz, ambiguity=ambiguity)[0]
-
-
 # --------------------------------------------------------------------------
 # verification
 # --------------------------------------------------------------------------
@@ -606,16 +583,16 @@ def verify_presentation(space: SpacePresentation) -> dict:
         xp_rule = next(r for r in space.rules if r.name == "xp-expansion")
         grading = space.mono_grading(xp)
         expected = RingElement.from_terms(space, xp_rule.rhs, grading=grading)
-        record_solved("section-class", lambda: solve_in_basis(
-            space, grading, *space.eval_mono(xp), ansatz=space.lemma_ansatz) == expected)
+        record_solved("section-class", lambda: solve_with_coefficients(
+            space, grading, *space.eval_mono(xp), ansatz=space.lemma_ansatz)[0] == expected)
 
     for name, declared in space.pushforwards.items():
         expected = RingElement.from_terms(space, declared)
         # The declared formula may use a different spanning set than the
         # ansatz (e.g. a zeta_1*c_chi_omega term), so compare normal forms.
-        record_solved(f"pushforward:{name}", lambda: normal_form(solve_in_basis(
+        record_solved(f"pushforward:{name}", lambda: normal_form(solve_with_coefficients(
             space, expected.grading, *space.pushforward_targets[name],
-            ansatz=space.pushforward_ansatz)) == normal_form(expected))
+            ansatz=space.pushforward_ansatz)[0]) == normal_form(expected))
 
     if space.identifications:
         ident = {k: RingElement.from_terms(space, v)
@@ -637,7 +614,7 @@ def verify_presentation(space: SpacePresentation) -> dict:
                 u = RingElement.from_mono(space, slot)
                 rho, fix = u.evaluate()
                 try:
-                    back = solve_in_basis(space, u.grading, rho, fix)
+                    back = solve_with_coefficients(space, u.grading, rho, fix)[0]
                 except UnsolvableError as err:
                     bad.append(f"{mono_str(slot)}: {err}")
                     continue
@@ -691,7 +668,8 @@ def annihilator_check(space: SpacePresentation,
         return killed, True
     family = _dressed_slots(z.grading, *space.section_family(z.grading))
     try:
-        solved = solve_in_basis(space, z.grading, *z.evaluate(), ansatz=family)
+        solved = solve_with_coefficients(space, z.grading, *z.evaluate(),
+                                         ansatz=family)[0]
     except UnsolvableError:
         return killed, False  # the evaluation pair is outside the family's span
     return killed, normal_form(solved) == target

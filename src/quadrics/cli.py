@@ -393,13 +393,8 @@ def parse_nonequiv(text: str, ring: TruncatedRing,
 # subcommands
 # --------------------------------------------------------------------------
 
-def _load(args) -> SpacePresentation:
-    q = getattr(args, "q", None)
-    return load_presentation(args.space, q)
-
-
 def _cmd_verify(args) -> int:
-    report = verify_presentation(_load(args))
+    report = verify_presentation(load_presentation(args.space, args.q))
     if args.json:
         print(json.dumps(report))
     else:
@@ -411,7 +406,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_nf(args) -> int:
-    space = _load(args)
+    space = load_presentation(args.space, args.q)
     element = parse(args.expr, space.q).to_element(space)
     reduced = normal_form(element)
     rho, fix = reduced.evaluate()
@@ -467,7 +462,7 @@ def _infer_grading(space: SpacePresentation, key: tuple[int, ...],
 
 
 def _cmd_solve(args) -> int:
-    space = _load(args)
+    space = load_presentation(args.space, args.q)
     try:
         key = tuple(int(part) for part in args.coset.split(","))
     except ValueError:
@@ -479,7 +474,11 @@ def _cmd_solve(args) -> int:
                          f"integer(s), got {len(key)}")
     degree = None
     if args.degree:
-        one, sigma = (int(part) for part in args.degree.split(","))
+        try:
+            one, sigma = (int(part) for part in args.degree.split(","))
+        except ValueError:
+            raise ValueError(f"--degree wants two integers like 2,-1, got "
+                             f"{args.degree!r}") from None
         degree = (one, sigma)
 
     rho = parse_nonequiv(args.rho, space.underlying, space.q)
@@ -552,13 +551,15 @@ def _build_argparser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def space_args(p, needs_q=True):
+    parametrized = sorted(name for name, (lo, _, _) in _FAMILIES.items()
+                          if lo is not None)
+
+    def space_args(p):
         p.add_argument("space", choices=SPACES,
                        help="one of " + ", ".join(SPACES))
-        if needs_q:
-            p.add_argument("--q", type=int, default=None,
-                           help="bundle parameter for the parametrized "
-                            "families (Q_BD, Q_DD, X1q)")
+        p.add_argument("--q", type=int, default=None,
+                       help="bundle parameter for the parametrized families "
+                       f"({', '.join(parametrized)})")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output with a schema key")
 

@@ -2,12 +2,13 @@
 
 Elements are finite sums of point-ring scalars against admissible
 monomials in the space's letters, homogeneous in the full grading.
-Products are computed by running the presentation's declared rewrite
-rules, and nothing else, to a fixpoint and then, when the result is not
-already supported on the coset table, solving for the unique basis
-combination with the same evaluation.  The same solver, fed the
-complementary section's own evaluation or a declared pushforward target
-instead, is what turns the stated section/pushforward lemmas into
+`multiply` is the only product: a normal form is a product by 1, a
+scalar multiple a product by a dressed 1.  It runs the presentation's
+declared rewrite rules, and nothing else, to a fixpoint and then, when
+the result is not already supported on the coset table, solves for the
+unique basis combination with the same evaluation.  The same solver, fed
+the complementary section's own evaluation or a declared pushforward
+target instead, is what turns the stated section/pushforward lemmas into
 machine checks: `verify_presentation` replays all of them.
 
 Solving is over the integers: a Burnside coefficient a + b*g is two
@@ -272,38 +273,37 @@ def _rewrite(space: SpacePresentation, terms: Mapping[Mono, PointScalar]) -> dic
 
 
 def multiply(u: RingElement, v: RingElement) -> RingElement:
-    """The product u*v: its termwise products, rewritten to a fixpoint.
+    """u*v: the termwise products, rewritten by the declared rules.
 
-    The rewritten form stands when it is zero, when its coset has no finite
-    table, when it lies on the table's slots, or when its evaluation pair
-    cannot place it in the table uniquely; otherwise it is re-solved from
-    that pair.  When a scalar leaves the point-ring fragment, forming or
-    rewriting the products, the class is solved from the product of the
-    factors' evaluations instead.
+    The rewritten form stands when it is zero, has no finite table, lies on
+    the table's slots, carries a 2-torsion term e^k*xi^j (k, j >= 1, which
+    evaluates to 0), or re-solves ambiguously; otherwise it is re-solved
+    from its evaluation pair.  A scalar product outside the point-ring
+    fragment is solved from the product of the factors' evaluations.
     """
     if u.space is not v.space:
         raise ValueError("elements live over different spaces")
     space, grading = u.space, u.grading + v.grading
-    order = space.letter_order
     try:
         terms: dict[Mono, PointScalar] = {}
         for m1, s1 in u.terms.items():
             for m2, s2 in v.terms.items():
-                _accumulate(terms, mono_mul(m1, m2, order), s1 * s2)
+                _accumulate(terms, mono_mul(m1, m2, space.letter_order), s1 * s2)
         element = RingElement(space, grading, _rewrite(space, terms))
         if not element.terms:
             return element
         try:
             slots = set(space.coset_basis(grading))
         except NoFiniteTableError:
-            return element  # BU1, or a deep bundle coset: the reduced form stands
-        if slots.issuperset(element.terms):
+            return element  # BU1, or a deep bundle coset
+        if slots.issuperset(element.terms) or any(
+                s.e and s.xi for s in element.terms.values()):
             return element
         try:
             return solve_with_coefficients(space, grading, *element.evaluate(),
                                            ambiguity="raise")[0]
         except AmbiguousSolveError:
-            return element  # exact as it stands
+            return element
     except FragmentError:
         rho, fix = (a * b for a, b in zip(u.evaluate(), v.evaluate()))
         return solve_with_coefficients(space, grading, rho, fix, ambiguity="raise")[0]
@@ -612,9 +612,8 @@ def verify_presentation(space: SpacePresentation) -> dict:
         for key in _sample_keys(space):
             for slot in space.coset_basis(key):
                 u = RingElement.from_mono(space, slot)
-                rho, fix = u.evaluate()
                 try:
-                    back = solve_with_coefficients(space, u.grading, rho, fix)[0]
+                    back = solve_with_coefficients(space, u.grading, *u.evaluate())[0]
                 except UnsolvableError as err:
                     bad.append(f"{mono_str(slot)}: {err}")
                     continue

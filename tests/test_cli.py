@@ -273,6 +273,15 @@ def test_solve_degree_flag_and_failure_modes(capsys):
     assert code == 2 and "3 fixed components" in err
 
 
+def test_solve_rejects_a_malformed_degree(capsys):
+    for value in ("1", "1,x", "1,2,3"):
+        code, out, err = invoke(capsys, "solve", "Q_BD", "--q", "1",
+                                "--coset", "0,0", "--rho", "y",
+                                "--fix", "0;1;y", "--degree", value)
+        assert (code, out) == (2, ""), value
+        assert err == f"error: --degree wants two integers like 2,-1, got {value!r}\n"
+
+
 def test_solve_rejects_inhomogeneous_targets(capsys):
     code, _, err = invoke(capsys, "solve", "Q_BD", "--q", "3", "--coset", "0,0",
                           "--rho", "2*y - c^3", "--fix", "0;1;y")

@@ -180,6 +180,32 @@ def test_an_ambiguous_product_outside_the_fragment_is_not_guessed():
     assert isinstance(info.value.__context__, FragmentError)
 
 
+def test_a_scalar_multiple_outside_the_fragment_is_solved_from_evaluation():
+    # e * e^-2 kappa leaves the fragment; the scaled evaluation pair places
+    # the class in the table
+    q22 = load_presentation("Q22")
+    u = elt(q22, PointScalar.e_power(1), z00=2, z01=1, x=1)
+    kappa = PointScalar.kappa_negative(1)
+    product = scalar_multiple(u, kappa)
+    assert str(product) == "2*e*z00^2*z01"
+    rho, fix = u.evaluate()
+    assert product.evaluate() == (kappa.rho_multiplier() * rho,
+                                  fix * kappa.fix_multiplier())
+
+
+def test_a_two_torsion_term_is_not_dropped_by_a_re_solve():
+    # the rewritten form is off the table (z0*cw^2 is no slot), and its
+    # e^2*xi*cw term evaluates to 0, so a re-solve from evaluation would
+    # give xi^2*z0^-1*cw*cxw and lose it
+    x1q = load_presentation("X1q", 16)
+    u = elt(x1q, z0=1, z1=2, cw=1, cxw=1)
+    assert x1q.mono(cw=1) in x1q.coset_basis(u.grading)
+    assert x1q.mono(z0=1, cw=2) not in x1q.coset_basis(u.grading)
+    nf = normal_form(u)
+    assert str(nf) == "e^2*xi*cw + xi*z0*cw^2"
+    assert nf.evaluate() == u.evaluate()
+
+
 def test_step_bound_trips_loudly(monkeypatch):
     monkeypatch.setattr(engine, "DEFAULT_STEP_BOUND", 1)
     with pytest.raises(RuntimeError, match="STEP_BOUND=1 "):

@@ -4,9 +4,11 @@ Elements are finite sums of point-ring scalars against admissible
 monomials in the space's letters, homogeneous in the full grading.
 `multiply` is the only product: a normal form is a product by 1, a
 scalar multiple a product by a dressed 1.  It runs the presentation's
-declared rewrite rules, and nothing else, to a fixpoint and then, when
-the result is not already supported on the coset table, solves for the
-unique basis combination with the same evaluation.  The same solver, fed
+declared rewrite rules, and nothing else, to a fixpoint; a rule fires
+only where every monomial it produces is admissible, so every
+intermediate is a class and evaluation may refuse the rest.  Then, when
+the result is not already supported on the coset table, it solves for
+the unique basis combination with the same evaluation.  The same solver, fed
 the complementary section's own evaluation or a declared pushforward
 target instead, is what turns the stated section/pushforward lemmas into
 machine checks: `verify_presentation` replays all of them.
@@ -234,18 +236,17 @@ class RingElement:
 # rewriting
 # --------------------------------------------------------------------------
 
-def _applicable_rule(space: SpacePresentation, mono: Mono):
-    exps = dict(mono)
+def _fire(space: SpacePresentation, mono: Mono) -> list[tuple[PointScalar, Mono]] | None:
+    """The results of the first rule whose left side divides `mono` and whose
+    results are all admissible, or None: rewriting never leaves the classes."""
+    exps, order = dict(mono), space.letter_order
     for rule in space.rules:
         if not all(exps.get(n, 0) >= e for n, e in rule.lhs):
             continue
-        if rule.guard == "admissible":
-            stripped = mono_mul(mono, tuple((n, -e) for n, e in rule.lhs),
-                                space.letter_order)
-            if not all(space.is_admissible(mono_mul(stripped, d, space.letter_order))
-                       for _, d in rule.rhs):
-                continue
-        return rule
+        stripped = mono_mul(mono, tuple((n, -e) for n, e in rule.lhs), order)
+        results = [(s, mono_mul(stripped, delta, order)) for s, delta in rule.rhs]
+        if all(space.is_admissible(m) for _, m in results):
+            return results
     return None
 
 
@@ -253,7 +254,6 @@ def _rewrite(space: SpacePresentation, terms: Mapping[Mono, PointScalar]) -> dic
     steps = 0
     out: dict[Mono, PointScalar] = {}
     work = [(m, s) for m, s in terms.items()]
-    order = space.letter_order
     while work:
         mono, scalar = work.pop()
         if not scalar:
@@ -262,13 +262,11 @@ def _rewrite(space: SpacePresentation, terms: Mapping[Mono, PointScalar]) -> dic
         if steps > DEFAULT_STEP_BOUND:
             raise RuntimeError(f"rewriting exceeded DEFAULT_STEP_BOUND="
                                f"{DEFAULT_STEP_BOUND} steps in {space.name}")
-        rule = _applicable_rule(space, mono)
-        if rule is None:
+        results = _fire(space, mono)
+        if results is None:
             _accumulate(out, mono, scalar)
-            continue
-        stripped = mono_mul(mono, tuple((n, -e) for n, e in rule.lhs), order)
-        for s2, delta in rule.rhs:
-            work.append((mono_mul(stripped, delta, order), scalar * s2))
+        else:
+            work += [(m, scalar * s) for s, m in results]
     return out
 
 
@@ -425,7 +423,7 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
                             rho_target: NonequivClass, fix_target: FixedTuple,
                             ansatz: Iterable[tuple[PointScalar, Mono]] | None = None,
                             ambiguity: str = "tiebreak"):
-    """Solve target = sum_i c_i * template_i * mono_i exactly, over Z.
+    """Solve (rho_target, fix_target) = sum_i c_i * template_i * mono_i over Z.
 
     Without an ansatz the candidates are the coset-table slots of `grading`,
     each dressed with the unique point-ring scalar filling the degree gap
@@ -452,8 +450,6 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     term on it, and re-solving an element that carries one drops that
     term without flagging anything.
     """
-    if not isinstance(fix_target, FixedTuple):
-        fix_target = FixedTuple(fix_target)
     candidates = (_dressed_slots(grading, *space.coset_table(grading))
                   if ansatz is None else list(ansatz))
 

@@ -46,13 +46,7 @@ from .scalars import PointScalar
 PARITIES = ("even", "odd")
 
 
-def _check_parity(parity: str) -> None:
-    if parity not in PARITIES:
-        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
-
-
-def sym3_grading(parity: str = "even",
-                 space: SpacePresentation | None = None) -> GradingElement:
+def sym3_grading(parity: str = "even") -> GradingElement:
     """The degree of the symmetric-cube Euler class on the Grassmannian.
 
     Sym^3(U*) has rank 4, so its Euler class sits in real degree 8.  The
@@ -62,12 +56,9 @@ def sym3_grading(parity: str = "even",
     locus, rank 0 over the other, and rank 2 over the quadric surface
     component.
     """
-    _check_parity(parity)
-    if space is None:
-        space = load_presentation("Gr222")
-    if space.family != "Gr":
-        raise ValueError("the symmetric-cube count lives on the "
-                         f"Grassmannian presentation, not {space.name}")
+    if parity not in PARITIES:
+        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
+    space = load_presentation("Gr222")
     pole = "11" if parity == "even" else "00"
     other = "00" if parity == "even" else "11"
     deg = space.group.element(8, omega={pole: 4, "1": 2})
@@ -147,9 +138,8 @@ def _chain_split_holds(alpha: BurnsideScalar, c21: BurnsideScalar) -> bool:
 
 def euler_sym3(parity: str = "even") -> LineCountResult:
     """Compute the equivariant 27-lines count for the chosen lift."""
-    _check_parity(parity)
     space = load_presentation("Gr222")
-    grading = sym3_grading(parity, space)
+    grading = sym3_grading(parity)
     rho_target, fix_target = _euler_targets(space, grading, parity)
 
     element, records, _ = solve_with_coefficients(

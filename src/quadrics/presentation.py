@@ -21,7 +21,7 @@ A SpacePresentation bundles, for one space,
 Where divq exists, its square is the first rule, divided-square, in one
 closed form per family; verify checks it against evaluation.
 
-Five families are available through load_presentation:
+Six families are available through load_presentation:
 
   BU1      the classifying space of complex lines (no coset tables;
            evaluation only, up to c^31),
@@ -130,19 +130,16 @@ class Letter:
 class RewriteRule:
     """lhs-divisible monomials M rewrite to sum_i scalar_i * (M - lhs + delta_i).
 
-    Rules preserve the grading.  A rule with guard="admissible" only fires
-    when every resulting monomial is admissible (used for expansions of
-    section letters whose negative-credit shapes must stay packaged).
+    Rules preserve the grading.  A rule fires only when every monomial it
+    produces is admissible; otherwise the next rule in order is tried.
     """
 
-    __slots__ = ("name", "lhs", "rhs", "guard")
+    __slots__ = ("name", "lhs", "rhs")
 
-    def __init__(self, name: str, lhs: Mono,
-                 rhs: tuple[tuple[PointScalar, Mono], ...], guard: str | None = None):
+    def __init__(self, name: str, lhs: Mono, rhs: tuple[tuple[PointScalar, Mono], ...]):
         self.name = name
         self.lhs = lhs
         self.rhs = rhs
-        self.guard = guard
 
     def __repr__(self):
         return f"RewriteRule({self.name})"
@@ -203,6 +200,7 @@ class SpacePresentation:
         "pushforwards", "pushforward_targets", "pushforward_ansatz",
         "identifications", "annihilator_pair",
         "_table_cache", "_eval_cache", "_grading_cache", "_powers", "_unit_classes",
+        "_fibre_block",
     )
 
     def __init__(self, name, family, q, group, underlying, fixed_rings,
@@ -238,6 +236,10 @@ class SpacePresentation:
         self._powers = {}
         self._unit_classes = (NonequivClass.unit(underlying),
                               *FixedTuple.unit(self.fixed_rings).parts)
+        # _block's fibre data: a lifted z1's coset key, q, and whether divq lifts
+        self._fibre_block = (
+            self.mono_grading(_lift(fibre, self.letter_order, {"z1": 1})).coset_key(),
+            1 if q is None else q, all(own in self.letters for own in fibre["divq"]))
 
     def __repr__(self):
         return f"SpacePresentation({self.name}, q={self.q})"
@@ -271,6 +273,10 @@ class SpacePresentation:
                 return False
         return True
 
+    def _refuse(self, m: Mono, why: str) -> ValueError:
+        return ValueError(f"monomial {mono_str(m)} in degree {self.mono_grading(m)} "
+                          f"of {self.name}: {why}")
+
     # --- evaluation ---
 
     def eval_mono(self, m: Mono) -> tuple[NonequivClass, FixedTuple]:
@@ -278,11 +284,14 @@ class SpacePresentation:
 
         A unit power is marked None in the cache and skipped, and a ring
         that no other factor reaches takes its unit, so nothing is ever
-        multiplied by 1.
+        multiplied by 1.  An inadmissible monomial is not a class, and
+        raises ValueError.
         """
         cached = self._eval_cache.get(m)
         if cached is not None:
             return cached
+        if not self.is_admissible(m):
+            raise self._refuse(m, "not admissible, an unlicensed negative power")
         units = self._unit_classes
         acc: list[NonequivClass | None] = [None] * len(units)
         for name, exp in m:
@@ -301,12 +310,12 @@ class SpacePresentation:
                 # Divided classes: only component letters go negative, and
                 # their restrictions are units or vanish outright.
                 if letter.rho != units[0]:
-                    raise ValueError(f"{name} has no invertible underlying restriction")
+                    raise self._refuse(m, f"{name} has no invertible underlying restriction")
                 for i, v in enumerate(letter.fix.parts, 1):
                     if not v:
                         acc[i] = v
                     elif v != units[i]:
-                        raise ValueError(f"{name} has a non-unit fixed restriction")
+                        raise self._refuse(m, f"{name} has a non-unit fixed restriction")
         rho, *parts = (u if a is None else a for a, u in zip(acc, units))
         result = (rho, FixedTuple(parts))
         self._eval_cache[m] = result
@@ -399,15 +408,13 @@ class SpacePresentation:
         P(C + C^q sigma), with q = 1 on Q22; its divided class exists when
         the letters it lifts to do.
         """
-        lift = lambda slot, extra=None: _lift(self.fibre, self.letter_order, slot, extra)
+        step, q, has_divq = self._fibre_block
         base = self.mono_grading(self.mono(prefix)).coset_key()
-        step = self.mono_grading(lift({"z1": 1})).coset_key()
         k = key[-1] - base[-1]
         if key != tuple(b + k * s for b, s in zip(base, step)):
             raise AssertionError(f"incoherent coset key {key}")
-        has_divq = all(own in self.letters for own in self.fibre["divq"])
-        return [lift(slot, prefix) for slot in
-                _x1q_slots(k, 1 if self.q is None else self.q, has_divq=has_divq)]
+        return [_lift(self.fibre, self.letter_order, slot, prefix)
+                for slot in _x1q_slots(k, q, has_divq=has_divq)]
 
     # --- serialization ---
 
@@ -435,11 +442,9 @@ class SpacePresentation:
         }
 
 
-def _coset_key(key) -> tuple[int, ...]:
-    """A coset key from a grading, a key tuple or list, or one int."""
-    if isinstance(key, GradingElement):
-        return key.coset_key()
-    return tuple(key) if isinstance(key, (tuple, list)) else (key,)
+def _coset_key(key: GradingElement | tuple[int, ...]) -> tuple[int, ...]:
+    """A coset key from a grading, or the key tuple itself."""
+    return key.coset_key() if isinstance(key, GradingElement) else key
 
 
 def _x1q_slots(k: int, q: int, *, has_divq: bool) -> list[dict[str, int]]:
@@ -645,8 +650,7 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
             RewriteRule("euler-transfer", mono({cw: 1}),
                         t((_TAU, {"z1": 1, "x": 1}))),
             RewriteRule("xp-expansion", mono({"xp": 1}),
-                        t((_UNIT_MINUS_KAPPA, {"x": 1}), (_E2, {})),
-                        guard="admissible"),
+                        t((_UNIT_MINUS_KAPPA, {"x": 1}), (_E2, {}))),
         ]
         relations = [
             Relation("euler-transfer",
@@ -673,8 +677,7 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
                         t((_ONE, {"divq": 1}), (_K1, {"x": 1}))),
             *_fibre_rules(fibre, order),
             RewriteRule("xp-expansion", mono({"xp": 1}),
-                        t((_ONE, {"x": 1}), (_E2, {"divq": 1})),
-                        guard="admissible"),
+                        t((_ONE, {"x": 1}), (_E2, {"divq": 1}))),
         ]
         relations = [
             Relation("x-square", t((_ONE, {"x": 2})),
@@ -717,8 +720,7 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
             RewriteRule("chi-euler-to-divided", mono({cxw: q}),
                         t((_ONE, {"divq": 1}), (_K1, {cxw: 1, "x": 1}))),
             *_fibre_rules(fibre, order),
-            RewriteRule("xp-expansion", mono({"xp": 1}), xp_rhs,
-                        guard="admissible"),
+            RewriteRule("xp-expansion", mono({"xp": 1}), xp_rhs),
         ]
         units = ()
         lemma_ansatz = ((_ONE, mono({"x": 1})), (_ONE, mono({"z1": 1, "divq": 1})),
@@ -782,13 +784,11 @@ def _build_q22() -> SpacePresentation:
                     t((_TAU, dict(zeta0, cw=1, x=1)))),
         *_fibre_rules(fibre, order),
         RewriteRule("x0-expansion", mono({"x0": 1}),
-                    t((_ONE, {"x": 1}), (-_E2, {})), guard="admissible"),
+                    t((_ONE, {"x": 1}), (-_E2, {}))),
         RewriteRule("x1-expansion", mono({"x1": 1}),
-                    t((_ONE, {"x": 1}), (-_ONE, dict(zeta1, cxw=1))),
-                    guard="admissible"),
+                    t((_ONE, {"x": 1}), (-_ONE, dict(zeta1, cxw=1)))),
         RewriteRule("x2-expansion", mono({"x2": 1}),
-                    t((_ONE, {"x": 1}), (-_ONE, dict(zeta0, cw=1))),
-                    guard="admissible"),
+                    t((_ONE, {"x": 1}), (-_ONE, dict(zeta0, cw=1)))),
     )
     pushforwards = {
         "i3": t((_ONE, {"x": 1})),

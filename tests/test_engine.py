@@ -212,6 +212,65 @@ def test_step_bound_trips_loudly(monkeypatch):
         multiply(elt(BD2, x=1), elt(BD2, x=1))
 
 
+def test_evaluation_refuses_an_inadmissible_monomial():
+    gr = load_presentation("Gr222")
+    m = gr.mono(z00=1, z11=1, z1=-1, cl=1, cxl=1, x=1)  # no letter licenses z1^-1
+    with pytest.raises(ValueError, match="not admissible") as err:
+        gr.eval_mono(m)
+    for part in (mono_str(m), str(gr.mono_grading(m)), gr.name):
+        assert part in str(err.value)
+
+
+@pytest.mark.parametrize("name, q, exps, answer", [
+    ("Q_BD", 2, {"z1": -1, "divq": 2, "x": 1}, "-e^4*z1^-3*divq*x"),
+    ("Gr222", None, {"z00": 1, "z11": 1, "z1": -1, "cl": 1, "divq": 2}, "0"),
+])
+def test_normal_forms_that_looped_through_inadmissible_monomials_end(name, q, exps, answer):
+    # divided-square would strip divq and leave z1^-k unlicensed, so it
+    # does not fire there, and the rules that can fire terminate
+    sp = load_presentation(name, q)
+    u = elt(sp, **exps)
+    nf = normal_form(u)
+    assert str(nf) == answer
+    assert nf.evaluate() == u.evaluate()
+    assert normal_form(nf) == nf
+
+
+def test_every_rule_application_produces_admissible_monomials(monkeypatch):
+    produced = []
+
+    def spy(space, mono, fire=engine._fire):
+        assert space.is_admissible(mono), mono_str(mono)
+        results = fire(space, mono)
+        produced.extend((space, m) for _, m in results or ())
+        return results
+
+    monkeypatch.setattr(engine, "_fire", spy)
+    monkeypatch.setattr(engine, "DEFAULT_STEP_BOUND", 500)  # a trip still fires rules
+    rng = random.Random(12)
+    for name, q in (("Q_BD", 2), ("Q_DD", 3), ("Q22", None), ("Gr222", None)):
+        sp = load_presentation(name, q)
+        letters = [n for n in sp.letter_order if not n.startswith("z")]
+        zetas = [n for n in sp.letter_order if n.startswith("z")]
+
+        def factor():
+            while True:
+                exps = {n: rng.randint(-1, 1) for n in zetas}
+                for n in rng.choices(letters, k=rng.randint(1, 2)):
+                    exps[n] = exps.get(n, 0) + 1
+                if sp.is_admissible(sp.mono(exps)):
+                    return RingElement.from_mono(sp, sp.mono(exps))
+
+        for _ in range(24):
+            try:
+                multiply(factor(), factor())
+            except (RuntimeError, UnsolvableError):
+                pass  # a step-bound trip or an unsolvable re-solve
+    assert {sp.name for sp, _ in produced} == {"Q_BD(q=2)", "Q_DD(q=3)", "Q22", "Gr222"}
+    bad = [(sp.name, mono_str(m)) for sp, m in produced if not sp.is_admissible(m)]
+    assert not bad, bad[:4]
+
+
 def test_solve_recovers_the_complementary_section():
     g = BD2.mono_grading(BD2.mono(xp=1))
     rho, fix = BD2.eval_mono(BD2.mono(xp=1))

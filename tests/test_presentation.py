@@ -253,6 +253,16 @@ def test_section_family_is_the_tables_x_block():
     assert keys == 2521
 
 
+def test_a_key_of_the_wrong_width_is_rejected():
+    for name, q, key in [("X1q", 2, (0, 0)), ("Q_BD", 2, (0,)), ("Q22", None, (0, 0))]:
+        sp = load_presentation(name, q)
+        with pytest.raises(ValueError, match="coset key"):
+            sp.coset_table(key)
+        if "x" in sp.letters:
+            with pytest.raises(ValueError, match="coset key"):
+                sp.section_family(key)
+
+
 def test_generator_evaluation_samples():
     bd2 = load_presentation("Q_BD", 2)
     und = bd2.underlying

@@ -19,7 +19,10 @@ lattice by the equations and then picks its exact canonical point.  The
 candidates are dressed on ints: a coset table carries its slots' (one,
 sigma) degrees, and a slot whose gap (a, b) to the target is off both
 lines a = 0 and a + b = 0, the only ones where the point ring has a class
-of infinite order, drops out before any scalar is built.
+of infinite order, drops out before any scalar is built.  The equations
+come from one scatter pass over the candidates' evaluations, a row per
+(component, basis key), plus a zero row per key that only the target
+supports.
 
 Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
 applications per product) and fails loudly rather than silently
@@ -430,9 +433,11 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     (slots whose gap supports nothing drop out; see _dressed_slots).  A
     coefficient is a + b*g in the Burnside ring, two integer unknowns,
     where the template is a plain Burnside scalar, and an integer
-    otherwise.  The equations are the coefficients of the basis keys that
-    the target or some candidate's evaluation supports; their order does
-    not matter.  Returns (element, records, ambiguous) with one (template,
+    otherwise.  The equations are built in one pass: a row per (component,
+    basis key) that some unknown's weighted evaluation supports, filled
+    column by column, then a zero row per key that only the target
+    supports, which makes the system inconsistent; their order does not
+    matter.  Returns (element, records, ambiguous) with one (template,
     mono, coefficient) record per candidate, zeros included.
 
     Some cosets carry distinct classes with equal evaluation pairs (e.g. a
@@ -464,20 +469,32 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
             raise UnsolvableError(f"nothing lives in degree {grading} of {space.name}")
         return RingElement.zero(space, grading), (), False
 
+    # one scatter pass: a row per (component, key), component 0 being rho
+    # and ci > 0 fixed part ci - 1, filled column by column
+    ncols = len(unknowns)
     evals = [space.eval_mono(mono) for _, mono in candidates]
     scales = [(t.rho_multiplier(), t.fix_multiplier()) for t, _ in candidates]
-    sides = [(rho_target, [(w * scales[k][0], evals[k][0]) for k, w, _ in unknowns])]
-    sides += [(part, [(w * scales[k][1], evals[k][1].parts[ci]) for k, _, w in unknowns])
-              for ci, part in enumerate(fix_target.parts)]
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for target, terms in sides:
-        for key in set(target.coeffs).union(*(cls.coeffs for w, cls in terms if w)):
-            rows.append([w * cls.coefficient(key) if w else 0 for w, cls in terms])
-            rhs.append(target.coefficient(key))
+    table: dict[tuple[int, Key], list[int]] = {}
+    for j, (k, w_rho, w_fix) in enumerate(unknowns):
+        (rho, fix), (s_rho, s_fix) = evals[k], scales[k]
+        sides = ((w_rho * s_rho, rho), *((w_fix * s_fix, part) for part in fix.parts))
+        for ci, (w, cls) in enumerate(sides):
+            if w:
+                for key, c in cls.coeffs.items():
+                    row = table.get((ci, key))
+                    if row is None:
+                        row = table[ci, key] = [0] * ncols
+                    row[j] = w * c
+    targets = (rho_target, *fix_target.parts)
+    for ci, target in enumerate(targets):
+        for key in target.coeffs:
+            if (ci, key) not in table:  # only the target supports it
+                table[ci, key] = [0] * ncols
+    rows = list(table.values())
+    rhs = [targets[ci].coeffs.get(key, 0) for ci, key in table]
 
     try:
-        x, basis = _integer_solve(rows, rhs, len(unknowns))
+        x, basis = _integer_solve(rows, rhs, ncols)
     except UnsolvableError as err:  # re-raised as is, so its context stays
         err.args = (f"{err} in degree {grading} of {space.name}",)
         raise
@@ -607,13 +624,15 @@ def verify_presentation(space: SpacePresentation) -> dict:
         bad = []
         for key in _sample_keys(space):
             for slot in space.coset_basis(key):
-                u = RingElement.from_mono(space, slot)
+                # the slot times ONE (rho and fix multiplier 1) evaluates to
+                # its cached pair, so no RingElement of it is built
                 try:
-                    back = solve_with_coefficients(space, u.grading, *u.evaluate())[0]
+                    back = solve_with_coefficients(space, space.mono_grading(slot),
+                                                   *space.eval_mono(slot))[0]
                 except UnsolvableError as err:
                     bad.append(f"{mono_str(slot)}: {err}")
                     continue
-                if back != u:
+                if back.terms != {slot: ONE}:
                     bad.append(mono_str(slot))
         record("coset-tables", not bad, ", ".join(bad[:4]))
 

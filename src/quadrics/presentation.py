@@ -356,19 +356,20 @@ class SpacePresentation:
         else:
             prefixes = ({"z00": -m}, {"z11": m, "xp": 1})
         monos = [mono for prefix in prefixes for mono in self._block(key, prefix)]
+        for mono in monos:
+            if not self.is_admissible(mono):
+                raise AssertionError(f"inadmissible slot {mono_str(mono)} at {key}")
         table = self._table_cache[key] = self._graded_slots(key, monos)
         return table
 
     def _graded_slots(self, key: tuple[int, ...], monos: Iterable[Mono]
                       ) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
-        """Check that admissible slots lie on a coset; return them and their degrees."""
+        """Check that slots lie on a coset; return them and their degrees."""
         monos, degrees = tuple(monos), []
         for m in monos:
             g = self.mono_grading(m)
             if g.coset_key() != key:
                 raise AssertionError(f"slot {mono_str(m)} lands off-coset {key}")
-            if not self.is_admissible(m):
-                raise AssertionError(f"inadmissible slot {mono_str(m)} at {key}")
             degrees += (g.one, g.sigma)
         return monos, tuple(degrees)
 

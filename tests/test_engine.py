@@ -17,7 +17,7 @@ from quadrics.engine import (
     scalar_multiple, solve_with_coefficients, tau_transfer, verify_presentation,
 )
 from quadrics.presentation import (
-    MAX_Q, FixedTuple, NoFiniteTableError, SpacePresentation, coset_basis,
+    FixedTuple, NoFiniteTableError, SpacePresentation, coset_basis,
     load_presentation, mono_mul, mono_str,
 )
 from quadrics.nonequiv import NonequivClass
@@ -26,12 +26,13 @@ from quadrics.scalars import FragmentError, PointScalar, scalar_dressing
 B = BurnsideScalar
 BD2 = load_presentation("Q_BD", 2)
 
-# every space that load_presentation accepts and that has coset tables (BU1 has none)
+# every space that load_presentation accepts at MAX_Q = 16, written out, and
+# that has coset tables (BU1 has none)
 TABLED = (
     [("Q22", None), ("Gr222", None)]
-    + [("X1q", q) for q in range(MAX_Q + 1)]
-    + [("Q_BD", q) for q in range(MAX_Q + 1)]
-    + [("Q_DD", q) for q in range(2, MAX_Q + 1)]
+    + [("X1q", q) for q in range(17)]
+    + [("Q_BD", q) for q in range(17)]
+    + [("Q_DD", q) for q in range(2, 17)]
 )
 # the RO(C2) shifts (one, sigma) the solve benchmark dresses a slot by
 SOLVE_SHIFTS = ((0, 0), (0, 1), (0, 2), (0, 3), (0, -2), (0, -4), (-2, 2), (2, -2))
@@ -57,7 +58,7 @@ def test_section_squares():
 
 
 def test_disjoint_sections_kill_each_other_in_every_even_quadric():
-    for name, q in [("Q_DD", q) for q in range(2, MAX_Q + 1)] + [("Gr222", None)]:
+    for name, q in [("Q_DD", q) for q in range(2, 17)] + [("Gr222", None)]:
         sp = load_presentation(name, q)
         assert multiply(elt(sp, x=1), elt(sp, xp=1)).is_zero(), sp.name
 
@@ -108,8 +109,8 @@ def test_divided_class_square_closes_in_the_basis():
 
 
 def test_divided_square_is_the_first_rule_and_matches_its_solve():
-    spaces = ([("Q_BD", q) for q in range(1, MAX_Q + 1)]
-              + [("Q_DD", q) for q in range(2, MAX_Q + 1)] + [("Gr222", None)])
+    spaces = ([("Q_BD", q) for q in range(1, 17)]
+              + [("Q_DD", q) for q in range(2, 17)] + [("Gr222", None)])
     for name, q in spaces:
         sp = load_presentation(name, q)
         rule = sp.rules[0]
@@ -574,6 +575,26 @@ def test_verify_records_a_product_that_cannot_be_solved(monkeypatch):
     assert report["checks"]["identification:bundle-factor"] is False
     assert ("identification:bundle-factor: nothing lives in degree 2 + 2s of Q22"
             in report["failures"])
+    assert report["ok"] is False
+
+
+def test_verify_reports_a_coset_slot_that_does_not_round_trip(monkeypatch):
+    # with its evaluation pair zeroed, z11*cw*cxw solves back to 0, not to itself
+    bd3 = presentation._build_quadric("BD", 3)
+    slot = bd3.mono(z11=1, cw=1, cxw=1)
+    assert slot in bd3.coset_basis((1, 0))
+    eval_mono = SpacePresentation.eval_mono
+
+    def zeroed(self, m):
+        if self is bd3 and m == slot:
+            return (NonequivClass.zero(self.underlying),
+                    FixedTuple(NonequivClass.zero(r) for r in self.fixed_rings))
+        return eval_mono(self, m)
+
+    monkeypatch.setattr(SpacePresentation, "eval_mono", zeroed)
+    report = verify_presentation(bd3)
+    assert report["checks"]["coset-tables"] is False
+    assert report["failures"] == ["coset-tables: z11*cw*cxw"]
     assert report["ok"] is False
 
 

@@ -10,7 +10,7 @@ from quadrics import engine
 from quadrics.cli import ZETA_NAMES, parse
 from quadrics.nonequiv import NonequivClass
 from quadrics.presentation import (
-    MAX_Q, FixedTuple, NoFiniteTableError, SpacePresentation, coset_basis,
+    FixedTuple, NoFiniteTableError, SpacePresentation, coset_basis,
     load_presentation, mono_mul, mono_str,
 )
 from quadrics.scalars import PointScalar
@@ -23,12 +23,12 @@ ALL_SPACES = (
 )
 
 
-# every space load_presentation accepts
+# every space load_presentation accepts at MAX_Q = 16, written out
 LOADABLE = (
     [("BU1", None), ("Q22", None), ("Gr222", None)]
-    + [("X1q", q) for q in range(MAX_Q + 1)]
-    + [("Q_BD", q) for q in range(MAX_Q + 1)]
-    + [("Q_DD", q) for q in range(2, MAX_Q + 1)]
+    + [("X1q", q) for q in range(17)]
+    + [("Q_BD", q) for q in range(17)]
+    + [("Q_DD", q) for q in range(2, 17)]
 )
 
 
@@ -146,7 +146,7 @@ def test_complementary_section_lies_in_the_parity_ruling():
     # xp is the section disjoint from x: in Q^{2q} it shares x's ruling
     # y exactly when q is odd, and on the middle Q^{2q-2} exactly when q
     # is even
-    for name, q in [("Q_DD", q) for q in range(2, MAX_Q + 1)] + [("Gr222", None)]:
+    for name, q in [("Q_DD", q) for q in range(2, 17)] + [("Gr222", None)]:
         sp = load_presentation(name, q)
         q = sp.q
         c = NonequivClass.from_exponents(sp.underlying, (1, 0))

@@ -24,6 +24,12 @@ come from one scatter pass over the candidates' evaluations, a row per
 (component, basis key), plus a zero row per key that only the target
 supports.
 
+`verify_presentation` checks that every slot of a sampled coset table is
+free over the point ring.  The slot is one of the candidates at its own
+degree, so it solves its own evaluation pair; the check is a kernel test
+of the candidates' columns, and only a slot with a non-zero kernel goes
+to the solve, whose tie-break then decides it.
+
 Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
 applications per product) and fails loudly rather than silently
 truncating; so does a product re-solved from an evaluation pair that
@@ -422,6 +428,36 @@ def _dressed_slots(grading: GradingElement, monos: tuple[Mono, ...],
     return out
 
 
+def _equations(space: SpacePresentation, candidates: list[tuple[PointScalar, Mono]]):
+    """The columns of the candidates' weighted evaluations, in one scatter pass.
+
+    Returns (burnside, unknowns, table): per candidate whether its template
+    is a plain Burnside scalar; per unknown (candidate, rho weight, fix
+    weight), where a + b*g is a, weighted (1, 1), and b, weighted (2, 0);
+    and a row of length len(unknowns) per (component, basis key) that some
+    unknown supports, component 0 being rho and ci > 0 fixed part ci - 1.
+    """
+    burnside = [template.shape() == (0, 0, 0, 0) for template, _ in candidates]
+    unknowns: list[tuple[int, int, int]] = []
+    for k, two in enumerate(burnside):
+        unknowns += [(k, 1, 1), (k, 2, 0)] if two else [(k, 1, 1)]
+    ncols = len(unknowns)
+    evals = [space.eval_mono(mono) for _, mono in candidates]
+    scales = [(t.rho_multiplier(), t.fix_multiplier()) for t, _ in candidates]
+    table: dict[tuple[int, Key], list[int]] = {}
+    for j, (k, w_rho, w_fix) in enumerate(unknowns):
+        (rho, fix), (s_rho, s_fix) = evals[k], scales[k]
+        sides = ((w_rho * s_rho, rho), *((w_fix * s_fix, part) for part in fix.parts))
+        for ci, (w, cls) in enumerate(sides):
+            if w:
+                for key, c in cls.coeffs.items():
+                    row = table.get((ci, key))
+                    if row is None:
+                        row = table[ci, key] = [0] * ncols
+                    row[j] = w * c
+    return burnside, unknowns, table
+
+
 def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
                             rho_target: NonequivClass, fix_target: FixedTuple,
                             ansatz: Iterable[tuple[PointScalar, Mono]] | None = None,
@@ -433,12 +469,11 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     (slots whose gap supports nothing drop out; see _dressed_slots).  A
     coefficient is a + b*g in the Burnside ring, two integer unknowns,
     where the template is a plain Burnside scalar, and an integer
-    otherwise.  The equations are built in one pass: a row per (component,
-    basis key) that some unknown's weighted evaluation supports, filled
-    column by column, then a zero row per key that only the target
-    supports, which makes the system inconsistent; their order does not
-    matter.  Returns (element, records, ambiguous) with one (template,
-    mono, coefficient) record per candidate, zeros included.
+    otherwise.  The equations are the rows of _equations, then a zero row
+    per key that only the target supports, which makes the system
+    inconsistent; their order does not matter.  Returns (element, records,
+    ambiguous) with one (template, mono, coefficient) record per candidate,
+    zeros included.
 
     Some cosets carry distinct classes with equal evaluation pairs (e.g. a
     kappa-multiple of one slot against the e^-2 kappa dressing of another).
@@ -457,34 +492,13 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     """
     candidates = (_dressed_slots(grading, *space.coset_table(grading))
                   if ansatz is None else list(ansatz))
-
-    # per unknown: (candidate, rho weight, fix weight); a + b*g is a, weighted
-    # (1, 1), and b, weighted (2, 0)
-    burnside = [template.shape() == (0, 0, 0, 0) for template, _ in candidates]
-    unknowns: list[tuple[int, int, int]] = []
-    for k, two in enumerate(burnside):
-        unknowns += [(k, 1, 1), (k, 2, 0)] if two else [(k, 1, 1)]
+    burnside, unknowns, table = _equations(space, candidates)
     if not unknowns:
         if rho_target or fix_target:
             raise UnsolvableError(f"nothing lives in degree {grading} of {space.name}")
         return RingElement.zero(space, grading), (), False
 
-    # one scatter pass: a row per (component, key), component 0 being rho
-    # and ci > 0 fixed part ci - 1, filled column by column
     ncols = len(unknowns)
-    evals = [space.eval_mono(mono) for _, mono in candidates]
-    scales = [(t.rho_multiplier(), t.fix_multiplier()) for t, _ in candidates]
-    table: dict[tuple[int, Key], list[int]] = {}
-    for j, (k, w_rho, w_fix) in enumerate(unknowns):
-        (rho, fix), (s_rho, s_fix) = evals[k], scales[k]
-        sides = ((w_rho * s_rho, rho), *((w_fix * s_fix, part) for part in fix.parts))
-        for ci, (w, cls) in enumerate(sides):
-            if w:
-                for key, c in cls.coeffs.items():
-                    row = table.get((ci, key))
-                    if row is None:
-                        row = table[ci, key] = [0] * ncols
-                    row[j] = w * c
     targets = (rho_target, *fix_target.parts)
     for ci, target in enumerate(targets):
         for key in target.coeffs:
@@ -539,6 +553,29 @@ def _sample_keys(space: SpacePresentation):
     if space.family == "X1q":
         keys = tuple(k for k in keys if k[0] > -space.q) if space.q >= 1 else keys
     return keys
+
+
+def _kernel_is_zero(space: SpacePresentation, slot: Mono) -> bool:
+    """Whether the dressed candidates at the slot's degree are independent.
+
+    The slot is one of them (gap (0, 0), template ONE), so it solves its
+    own evaluation pair; with a zero kernel it is the only solution, which
+    solve_with_coefficients would return unflagged as {slot: ONE}.  The
+    identity lattice of the unknowns is cut by one row at a time, stopping
+    once nothing is left.
+    """
+    grading = space.mono_grading(slot)
+    candidates = _dressed_slots(grading, *space.coset_table(grading))
+    assert (ONE, slot) in candidates, \
+        f"{space.name}: slot {mono_str(slot)} is not a candidate at its own degree"
+    _, unknowns, table = _equations(space, candidates)
+    ncols = len(unknowns)
+    x, basis = [0] * ncols, [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)]
+    for row in table.values():
+        x, basis = _restrict(x, basis, row, 0)
+        if not basis:
+            return True
+    return False
 
 
 def verify_presentation(space: SpacePresentation) -> dict:
@@ -624,8 +661,11 @@ def verify_presentation(space: SpacePresentation) -> dict:
         bad = []
         for key in _sample_keys(space):
             for slot in space.coset_basis(key):
-                # the slot times ONE (rho and fix multiplier 1) evaluates to
-                # its cached pair, so no RingElement of it is built
+                # the slot is an integer solution of its own pair; with a
+                # zero kernel it is the only one, and only a non-zero kernel
+                # is handed to the solve, for its tie-break and failure text
+                if _kernel_is_zero(space, slot):
+                    continue
                 try:
                     back = solve_with_coefficients(space, space.mono_grading(slot),
                                                    *space.eval_mono(slot))[0]

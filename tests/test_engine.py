@@ -21,7 +21,7 @@ from quadrics.presentation import (
     load_presentation, mono_mul, mono_str,
 )
 from quadrics.nonequiv import NonequivClass
-from quadrics.scalars import FragmentError, PointScalar, scalar_dressing
+from quadrics.scalars import ONE, FragmentError, PointScalar, scalar_dressing
 
 B = BurnsideScalar
 BD2 = load_presentation("Q_BD", 2)
@@ -293,6 +293,27 @@ def test_solve_round_trips_on_sampled_cosets():
                 rho, fix = sp.eval_mono(m)
                 el = solve_with_coefficients(sp, sp.mono_grading(m), rho, fix)[0]
                 assert el == RingElement.from_mono(sp, m), (sp.name, mono_str(m))
+
+
+def test_the_round_trip_kernel_test_agrees_with_the_solve():
+    # a zero kernel is exactly an unambiguous solve, which returns the slot;
+    # only eight Q22 slots have dependent candidates at their own degree
+    dependent = set()
+    for name, q in TABLED:
+        sp = load_presentation(name, q)
+        for key in engine._sample_keys(sp):
+            for slot in sp.coset_basis(key):
+                solved, _, ambiguous = solve_with_coefficients(
+                    sp, sp.mono_grading(slot), *sp.eval_mono(slot))
+                assert engine._kernel_is_zero(sp, slot) is not ambiguous, \
+                    (sp.name, mono_str(slot))
+                if ambiguous:
+                    dependent.add((name, mono_str(slot)))
+                else:
+                    assert solved.terms == {slot: ONE}, (sp.name, mono_str(slot))
+    assert dependent == {("Q22", slot) for slot in (
+        "z00*z01^2*z10", "z00*z01*cw", "z01", "z00*z11*z01*cw",
+        "z00*z01^2*z10*x", "z00*z01*cw*x", "z01*x", "z00*z11*z01*cw*x")}
 
 
 def test_inconsistent_targets_are_rejected():
@@ -596,6 +617,40 @@ def test_verify_reports_a_coset_slot_that_does_not_round_trip(monkeypatch):
     assert report["checks"]["coset-tables"] is False
     assert report["failures"] == ["coset-tables: z11*cw*cxw"]
     assert report["ok"] is False
+
+
+def test_verify_reports_a_coset_slot_that_solves_to_an_earlier_candidate(monkeypatch):
+    # z00*z11^2*cw evaluating like its earlier candidate e^2*z11 leaves a
+    # non-zero column in the kernel, and the tie-break gives it to e^2*z11
+    bd3 = presentation._build_quadric("BD", 3)
+    slot = bd3.mono(z00=1, z11=2, cw=1)
+    assert slot in bd3.coset_basis((1, 0))
+    earlier = RingElement.from_mono(bd3, bd3.mono(z11=1), PointScalar.e_power(2))
+    grading = bd3.mono_grading(slot)
+    assert engine._dressed_slots(grading, *bd3.coset_table(grading))[0] == \
+        (PointScalar.e_power(2), bd3.mono(z11=1))
+    pair = earlier.evaluate()
+    assert pair[0] or pair[1]
+    eval_mono = SpacePresentation.eval_mono
+
+    def dependent(self, m):
+        return pair if self is bd3 and m == slot else eval_mono(self, m)
+
+    monkeypatch.setattr(SpacePresentation, "eval_mono", dependent)
+    assert not engine._kernel_is_zero(bd3, slot)
+    assert solve_with_coefficients(bd3, grading, *pair)[0] == earlier
+    report = verify_presentation(bd3)
+    assert report["checks"]["coset-tables"] is False
+    assert report["failures"] == ["coset-tables: z00*z11^2*cw"]
+    assert report["ok"] is False
+
+
+@pytest.mark.parametrize("q", (32, 64, 128))
+@pytest.mark.parametrize("family", ("BD", "DD"))
+def test_large_quadrics_verify(family, q):
+    # past MAX_Q, built directly
+    report = verify_presentation(presentation._build_quadric(family, q))
+    assert report["ok"], report["failures"]
 
 
 def test_degree_checks_on_the_integer_path_still_fail_loudly():

@@ -14,21 +14,22 @@ target instead, is what turns the stated section/pushforward lemmas into
 machine checks: `verify_presentation` replays all of them.
 
 Solving is over the integers: a Burnside coefficient a + b*g is two
-integer unknowns, and one primitive, `_restrict`, cuts the solution
-lattice by the equations and then picks its exact canonical point.  The
-candidates are dressed on ints: a coset table carries its slots' (one,
-sigma) degrees, and a slot whose gap (a, b) to the target is off both
-lines a = 0 and a + b = 0, the only ones where the point ring has a class
-of infinite order, drops out before any scalar is built.  The equations
+integer unknowns, and one primitive, `_restrict`, cuts lattices: the
+identity by the homogenized equations (`_kernel`), that by t = 1, and the
+solutions down to their least point (`_least_point`).  The candidates
+are dressed on ints: a coset table carries its slots' (one, sigma)
+degrees, and a slot whose gap (a, b) to the target is off both lines
+a = 0 and a + b = 0, the only ones where the point ring has a class of
+infinite order, drops out before any scalar is built.  The equations
 come from one scatter pass over the candidates' evaluations, a row per
 (component, basis key), plus a zero row per key that only the target
 supports.
 
 `verify_presentation` checks that every slot of a sampled coset table is
 free over the point ring.  The slot is one of the candidates at its own
-degree, so it solves its own evaluation pair; the check is a kernel test
-of the candidates' columns, and only a slot with a non-zero kernel goes
-to the solve, whose tie-break then decides it.
+degree, so its own unit point solves its evaluation pair, and the solve's
+answer is the least point of that point plus the candidates' kernel: the
+slot itself at once when the kernel is zero.
 
 Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
 applications per product) and fails loudly rather than silently
@@ -306,14 +307,16 @@ def multiply(u: RingElement, v: RingElement) -> RingElement:
         if slots.issuperset(element.terms) or any(
                 s.e and s.xi for s in element.terms.values()):
             return element
-        try:
-            return solve_with_coefficients(space, grading, *element.evaluate(),
-                                           ambiguity="raise")[0]
-        except AmbiguousSolveError:
-            return element
+        solved, _, ambiguous = solve_with_coefficients(space, grading, *element.evaluate())
+        return element if ambiguous else solved
     except FragmentError:
         rho, fix = (a * b for a, b in zip(u.evaluate(), v.evaluate()))
-        return solve_with_coefficients(space, grading, rho, fix, ambiguity="raise")[0]
+        solved, _, ambiguous = solve_with_coefficients(space, grading, rho, fix)
+        if ambiguous:
+            raise AmbiguousSolveError(
+                "underdetermined solve: the evaluation pair does not separate "
+                f"the dressed basis slots in degree {grading}")
+        return solved
 
 
 def scalar_multiple(u: RingElement, scalar: PointScalar) -> RingElement:
@@ -384,23 +387,47 @@ def _restrict(x0: list[int], basis: list[list[int]], row: list[int],
     return ([x + shift * p for x, p in zip(x0, step)] if shift else x0), kept
 
 
+def _kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """A basis of ker(rows) ∩ Z^ncols: the identity lattice cut one row at a
+    time, stopping once nothing is left."""
+    x, basis = [0] * ncols, [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)]
+    for row in rows:
+        if not basis:
+            break
+        x, basis = _restrict(x, basis, row, 0)
+    return basis
+
+
 def _integer_solve(rows: list[list[int]], rhs: list[int],
                    ncols: int) -> tuple[list[int], list[list[int]]]:
     """The integer points of rows.x = rhs: a point and a basis of ker ∩ Z^ncols.
 
-    The lattice of (x, t) in Z^(ncols+1) with rows.x = t*rhs is cut out
-    from the identity lattice, one row at a time; then the cut t = 1 finds
-    the system inconsistent over Q when t vanishes on that lattice, and
-    with no integer point when t only takes multiples of a larger number
-    (the least denominator of a rational solution).
+    The lattice of (x, t) in Z^(ncols+1) with rows.x = t*rhs is the kernel
+    of the homogenized rows; then the cut t = 1 finds the system
+    inconsistent over Q when t vanishes on that lattice, and with no
+    integer point when t only takes multiples of a larger number (the
+    least denominator of a rational solution).
     """
-    n = ncols + 1
-    x = [0] * n
-    basis = [[0] * i + [1] + [0] * (ncols - i) for i in range(n)]
-    for row, target in zip(rows, rhs):
-        x, basis = _restrict(x, basis, [*row, -target], 0)
-    x, basis = _restrict(x, basis, [0] * ncols + [1], 1)
+    basis = _kernel([[*row, -target] for row, target in zip(rows, rhs)], ncols + 1)
+    x, basis = _restrict([0] * (ncols + 1), basis, [0] * ncols + [1], 1)
     return x[:ncols], [vec[:ncols] for vec in basis]
+
+
+def _least_point(x: list[int], basis: list[list[int]], burnside: list[bool],
+                 unknowns: list[tuple[int, int, int]]) -> list[int]:
+    """The least point of x + Z*basis, which depends on that set alone: from
+    the last candidate of _equations backwards, its fix and then its rho
+    coordinate (one and the same for an integer coefficient) of least
+    absolute size, non-negative on a tie, so earlier candidates absorb
+    what the lattice leaves free."""
+    for k in reversed(range(len(burnside))):
+        if not basis:
+            break
+        rho_row = [w if j == k else 0 for j, w, _ in unknowns]
+        fix_row = [w if j == k else 0 for j, _, w in unknowns]
+        for row in ([fix_row, rho_row] if burnside[k] else [rho_row]):
+            x, basis = _restrict(x, basis, row, None)
+    return x
 
 
 def _dressed_slots(grading: GradingElement, monos: tuple[Mono, ...],
@@ -460,8 +487,7 @@ def _equations(space: SpacePresentation, candidates: list[tuple[PointScalar, Mon
 
 def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
                             rho_target: NonequivClass, fix_target: FixedTuple,
-                            ansatz: Iterable[tuple[PointScalar, Mono]] | None = None,
-                            ambiguity: str = "tiebreak"):
+                            ansatz: Iterable[tuple[PointScalar, Mono]] | None = None):
     """Solve (rho_target, fix_target) = sum_i c_i * template_i * mono_i over Z.
 
     Without an ansatz the candidates are the coset-table slots of `grading`,
@@ -477,12 +503,11 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
 
     Some cosets carry distinct classes with equal evaluation pairs (e.g. a
     kappa-multiple of one slot against the e^-2 kappa dressing of another).
-    With ambiguity="tiebreak" the answer is then the exact least point of
-    the solution lattice, of any dimension: from the last candidate
-    backwards, each evaluation coordinate (fix, then rho, for a Burnside
-    coefficient) of least absolute size, non-negative on a tie, so earlier
-    slots absorb what the pair cannot attribute; the flag is True.  With
-    ambiguity="raise" an AmbiguousSolveError escapes instead.
+    The answer is always the exact least point of the solution lattice (see
+    _least_point), and the flag is True when that lattice has a non-zero
+    kernel; callers that must not guess read the flag.  verify's coset
+    round trip takes the same point from the slot's own unit point, with
+    no solve (see _round_trips).
 
     The flag counts only the lattice kernel.  A slot whose gap is the
     degree of a 2-torsion class e^k*xi^j (k, j >= 1) has no candidate at
@@ -512,29 +537,12 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     except UnsolvableError as err:  # re-raised as is, so its context stays
         err.args = (f"{err} in degree {grading} of {space.name}",)
         raise
-    ambiguous = bool(basis)
-    if ambiguous and ambiguity == "raise":
-        raise AmbiguousSolveError(
-            "underdetermined solve: the evaluation pair does not separate "
-            f"the dressed basis slots in degree {grading}")
-    # the tie-break: from the last candidate backwards, its fix and then its
-    # rho coordinate (one and the same for an integer coefficient)
-    for k in reversed(range(len(candidates))):
-        if not basis:
-            break
-        rho_row = [w if j == k else 0 for j, w, _ in unknowns]
-        fix_row = [w if j == k else 0 for j, _, w in unknowns]
-        for row in ([fix_row, rho_row] if burnside[k] else [rho_row]):
-            x, basis = _restrict(x, basis, row, None)
-
-    records = []
-    terms: dict[Mono, PointScalar] = {}
-    values = iter(x)
-    for (template, mono), two in zip(candidates, burnside):
-        coeff = BurnsideScalar(next(values), next(values)) if two else next(values)
-        records.append((template, mono, coeff))
-        _accumulate(terms, mono, template.scale(coeff))
-    return RingElement(space, grading, terms), tuple(records), ambiguous
+    values = iter(_least_point(x, basis, burnside, unknowns))
+    records = tuple(
+        (template, mono, BurnsideScalar(next(values), next(values)) if two else next(values))
+        for (template, mono), two in zip(candidates, burnside))
+    element = RingElement(space, grading, [(t.scale(c), m) for t, m, c in records])
+    return element, records, bool(basis)
 
 
 # --------------------------------------------------------------------------
@@ -555,27 +563,24 @@ def _sample_keys(space: SpacePresentation):
     return keys
 
 
-def _kernel_is_zero(space: SpacePresentation, slot: Mono) -> bool:
-    """Whether the dressed candidates at the slot's degree are independent.
+def _round_trips(space: SpacePresentation, slot: Mono) -> bool:
+    """Whether solve_with_coefficients gives the slot back from its own pair.
 
-    The slot is one of them (gap (0, 0), template ONE), so it solves its
-    own evaluation pair; with a zero kernel it is the only solution, which
-    solve_with_coefficients would return unflagged as {slot: ONE}.  The
-    identity lattice of the unknowns is cut by one row at a time, stopping
-    once nothing is left.
+    The slot is a candidate at its own degree (gap (0, 0), template ONE),
+    so its unit point e solves the pair, and the solve's answer is the
+    least point of e plus the candidates' kernel: e when that is zero.
     """
     grading = space.mono_grading(slot)
     candidates = _dressed_slots(grading, *space.coset_table(grading))
     assert (ONE, slot) in candidates, \
         f"{space.name}: slot {mono_str(slot)} is not a candidate at its own degree"
-    _, unknowns, table = _equations(space, candidates)
-    ncols = len(unknowns)
-    x, basis = [0] * ncols, [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)]
-    for row in table.values():
-        x, basis = _restrict(x, basis, row, 0)
-        if not basis:
-            return True
-    return False
+    burnside, unknowns, table = _equations(space, candidates)
+    basis = _kernel(list(table.values()), len(unknowns))
+    if not basis:
+        return True
+    k = candidates.index((ONE, slot))
+    e = [int(unknown == (k, 1, 1)) for unknown in unknowns]
+    return _least_point(e, basis, burnside, unknowns) == e
 
 
 def verify_presentation(space: SpacePresentation) -> dict:
@@ -658,22 +663,8 @@ def verify_presentation(space: SpacePresentation) -> dict:
             == multiply(shift, multiply(ident["cw1"], ident["cw2"])))
 
     if space.family != "BU1":
-        bad = []
-        for key in _sample_keys(space):
-            for slot in space.coset_basis(key):
-                # the slot is an integer solution of its own pair; with a
-                # zero kernel it is the only one, and only a non-zero kernel
-                # is handed to the solve, for its tie-break and failure text
-                if _kernel_is_zero(space, slot):
-                    continue
-                try:
-                    back = solve_with_coefficients(space, space.mono_grading(slot),
-                                                   *space.eval_mono(slot))[0]
-                except UnsolvableError as err:
-                    bad.append(f"{mono_str(slot)}: {err}")
-                    continue
-                if back.terms != {slot: ONE}:
-                    bad.append(mono_str(slot))
+        bad = [mono_str(slot) for key in _sample_keys(space)
+               for slot in space.coset_basis(key) if not _round_trips(space, slot)]
         record("coset-tables", not bad, ", ".join(bad[:4]))
 
     return {

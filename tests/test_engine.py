@@ -296,21 +296,26 @@ def test_solve_round_trips_on_sampled_cosets():
 
 
 def test_the_round_trip_kernel_test_agrees_with_the_solve():
-    # a zero kernel is exactly an unambiguous solve, which returns the slot;
-    # only eight Q22 slots have dependent candidates at their own degree
+    # the round trip is the solve's answer without a solve, and the solve is
+    # flagged exactly where the candidates at the slot's degree have a
+    # kernel; only eight Q22 slots do, and the tie-break still gives them back
     dependent = set()
     for name, q in TABLED:
         sp = load_presentation(name, q)
         for key in engine._sample_keys(sp):
             for slot in sp.coset_basis(key):
+                grading = sp.mono_grading(slot)
                 solved, _, ambiguous = solve_with_coefficients(
-                    sp, sp.mono_grading(slot), *sp.eval_mono(slot))
-                assert engine._kernel_is_zero(sp, slot) is not ambiguous, \
-                    (sp.name, mono_str(slot))
+                    sp, grading, *sp.eval_mono(slot))
+                where = (sp.name, mono_str(slot))
+                assert engine._round_trips(sp, slot) == (solved.terms == {slot: ONE}), where
+                _, unknowns, table = engine._equations(
+                    sp, engine._dressed_slots(grading, *sp.coset_table(grading)))
+                assert bool(engine._kernel(list(table.values()), len(unknowns))) \
+                    is ambiguous, where
+                assert solved.terms == {slot: ONE}, where
                 if ambiguous:
                     dependent.add((name, mono_str(slot)))
-                else:
-                    assert solved.terms == {slot: ONE}, (sp.name, mono_str(slot))
     assert dependent == {("Q22", slot) for slot in (
         "z00*z01^2*z10", "z00*z01*cw", "z01", "z00*z11*z01*cw",
         "z00*z01^2*z10*x", "z00*z01*cw*x", "z01*x", "z00*z11*z01*cw*x")}
@@ -383,14 +388,12 @@ def test_solves_match_the_dense_system(name, q):
 
 
 def test_phantom_coset_is_ambiguous_but_tie_break_restores_slots():
-    # on the four-point quadric some far cosets evaluate with a kernel:
-    # raise-mode flags them, the default tie-break still returns the slot
+    # on the four-point quadric some far cosets evaluate with a kernel: the
+    # solve flags them, and the tie-break still returns the slot
     q22 = load_presentation("Q22")
     for m in coset_basis(q22, (-2, -2, -2)):
         g = q22.mono_grading(m)
         rho, fix = q22.eval_mono(m)
-        with pytest.raises(AmbiguousSolveError):
-            solve_with_coefficients(q22, g, rho, fix, ambiguity="raise")
         el, _, ambiguous = solve_with_coefficients(q22, g, rho, fix)
         assert ambiguous
         assert el == RingElement.from_mono(q22, m)
@@ -466,6 +469,42 @@ def test_the_tie_break_takes_the_least_point_on_phantom_cosets():
                 found += _assert_least_point_in_box(
                     q22, q22.mono_grading(m) + q22.group.element(*shift), rho, fix) > 1
     assert found
+
+
+@st.composite
+def affine_lattices(draw):
+    """Candidate flags, their unknowns as in engine._equations, a point, a
+    generating set, and a shift and a unimodular change of that set."""
+    burnside = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    unknowns = []
+    for k, two in enumerate(burnside):
+        unknowns += [(k, 1, 1), (k, 2, 0)] if two else [(k, 1, 1)]
+    entry = st.integers(-4, 4)
+    vector = st.lists(entry, min_size=len(unknowns), max_size=len(unknowns))
+    basis = draw(st.lists(vector, max_size=len(unknowns)))
+    x = draw(vector)
+    shift = draw(st.lists(entry, min_size=len(basis), max_size=len(basis)))
+    steps = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), entry),
+                          max_size=8))
+    return burnside, unknowns, x, basis, shift, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_lattices())
+def test_the_least_point_depends_only_on_the_affine_lattice(lattice):
+    burnside, unknowns, x, basis, shift, steps = lattice
+    least = engine._least_point(list(x), [list(v) for v in basis], burnside, unknowns)
+    moved = [p + sum(c * v[j] for c, v in zip(shift, basis)) for j, p in enumerate(x)]
+    changed = [list(v) for v in basis]
+    for i, j, c in steps:  # elementary column steps and sign flips are unimodular
+        if not changed:
+            break
+        i, j = i % len(changed), j % len(changed)
+        if i == j:
+            changed[i] = [-a for a in changed[i]]
+        else:
+            changed[i] = [a + c * b for a, b in zip(changed[i], changed[j])]
+    assert engine._least_point(moved, changed, burnside, unknowns) == least
 
 
 def _scanned_candidates(sp, grading, monos):
@@ -637,7 +676,7 @@ def test_verify_reports_a_coset_slot_that_solves_to_an_earlier_candidate(monkeyp
         return pair if self is bd3 and m == slot else eval_mono(self, m)
 
     monkeypatch.setattr(SpacePresentation, "eval_mono", dependent)
-    assert not engine._kernel_is_zero(bd3, slot)
+    assert not engine._round_trips(bd3, slot)
     assert solve_with_coefficients(bd3, grading, *pair)[0] == earlier
     report = verify_presentation(bd3)
     assert report["checks"]["coset-tables"] is False
@@ -752,6 +791,10 @@ def _has_integer_solution(rows, rhs):
 @example(([[2], [2]], [1, 0], 1))  # no integer point, and inconsistent over Q
 def test_integer_solve_matches_gauss_jordan_and_the_smith_form(system):
     rows, rhs, ncols = system
+    matrix = sympy.Matrix(len(rows), ncols, [a for row in rows for a in row])
+    kernel = engine._kernel([list(row) for row in rows], ncols)
+    assert len(kernel) == ncols - matrix.rank()
+    _assert_saturated_kernel(matrix, kernel)
     got = _solve_or_error(engine._integer_solve, system)
     reference = _solve_or_error(_fraction_gauss_jordan, system)
     inconsistent = isinstance(reference, str)
@@ -762,10 +805,15 @@ def test_integer_solve_matches_gauss_jordan_and_the_smith_form(system):
         assert isinstance(got, str) and "no integer point" in got
         return
     point, kernel = got
-    matrix = sympy.Matrix(len(rows), ncols, [a for row in rows for a in row])
     assert matrix * sympy.Matrix(point) == sympy.Matrix(len(rhs), 1, rhs)
     assert len(kernel) == len(reference[1])  # ncols - rank
-    assert all(matrix * sympy.Matrix(vec) == sympy.zeros(len(rows), 1) for vec in kernel)
-    if kernel:  # a primitive lattice of full rank in ker A is all of ker A ∩ Z^n
+    _assert_saturated_kernel(matrix, kernel)
+
+
+def _assert_saturated_kernel(matrix, kernel):
+    """Every vector lies in ker A, and, with as many vectors as ncols - rank,
+    a primitive lattice of full rank in ker A is all of ker A ∩ Z^n."""
+    assert all(matrix * sympy.Matrix(vec) == sympy.zeros(matrix.rows, 1) for vec in kernel)
+    if kernel:
         smith = smith_normal_form(sympy.Matrix(kernel).T, domain=sympy.ZZ)
         assert all(smith[i, i] == 1 for i in range(len(kernel)))

@@ -1,7 +1,10 @@
 """Counting the 27 lines on a cubic surface, equivariantly."""
 
+import re
+
 import pytest
 
+from quadrics import cli, enumerative
 from quadrics.burnside import BurnsideScalar
 from quadrics.enumerative import LineCountResult, euler_sym3, sym3_grading
 from quadrics.nonequiv import euler_fixed_sym3, euler_sym3_rank2
@@ -81,3 +84,14 @@ def test_to_json_is_stable():
         "fixed_line_component": "00",
         "total": 27,
     }
+
+
+def test_an_ambiguous_euler_solve_fails_loudly(monkeypatch):
+    # the count reads the solve's flag rather than trusting a tie-break
+    solve = enumerative.solve_with_coefficients
+    monkeypatch.setattr(enumerative, "solve_with_coefficients",
+                        lambda *args: (*solve(*args)[:2], True))
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"evaluation pair in degree {sym3_grading('even')}")):
+        euler_sym3("even")
+    assert cli.run(["lines27", "--parity", "odd"]) == 1

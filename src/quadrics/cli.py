@@ -513,9 +513,6 @@ def _cmd_solve(args) -> int:
         print(element)
         for template, mono, coeff in records:
             print(f"  {str(coeff):>8s} * {template} * {mono_str(mono)}")
-        if ambiguous:
-            print("note: this degree carries evaluation-equal classes; "
-                  "the basis-order tie-break was applied")
     return 0
 
 

@@ -15,26 +15,25 @@ machine checks: `verify_presentation` replays all of them.
 
 Solving is over the integers: a Burnside coefficient a + b*g is two
 integer unknowns, and one primitive, `_restrict`, cuts lattices: the
-identity by the homogenized equations (`_kernel`), that by t = 1, and the
-solutions down to their least point (`_least_point`).  The candidates
-are dressed on ints: a coset table carries its slots' (one, sigma)
-degrees, and a slot whose gap (a, b) to the target is off both lines
-a = 0 and a + b = 0, the only ones where the point ring has a class of
-infinite order, drops out before any scalar is built.  The equations
-come from one scatter pass over the candidates' evaluations, a row per
-(component, basis key), plus a zero row per key that only the target
-supports.
+identity by the homogenized equations (`_kernel`), then that by t = 1.
+The candidates are dressed on ints: a coset table carries its slots'
+(one, sigma) degrees, and a slot whose gap (a, b) to the target is off
+both lines a = 0 and a + b = 0, the only ones where the point ring has a
+class of infinite order, drops out before any scalar is built.  The
+equations come from one scatter pass over the candidates' evaluations, a
+row per (component, basis key), plus a zero row per key that only the
+target supports.  A solve is exact or raises: a solution lattice with a
+non-zero kernel is an AmbiguousSolveError.
 
-`verify_presentation` checks that every slot of a sampled coset table is
-free over the point ring.  The slot is one of the candidates at its own
-degree, so its own unit point solves its evaluation pair, and the solve's
-answer is the least point of that point plus the candidates' kernel: the
-slot itself at once when the kernel is zero.
+`verify_presentation` checks that the slots of every sampled coset table
+are a Z-basis of H*(X) under rho and of the fixed cohomology under fix
+(|det| = 1, from `_kernel`).  A Burnside coefficient a + b*g enters rho
+as a + 2b and the fixed side as a, and every other dressing has a
+non-zero multiplier on one side, so a solve on such a table has no kernel.
 
 Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
 applications per product) and fails loudly rather than silently
-truncating; so does a product re-solved from an evaluation pair that
-does not pin it down, once its scalars leave the point-ring fragment.
+truncating.
 """
 
 from __future__ import annotations
@@ -284,10 +283,11 @@ def multiply(u: RingElement, v: RingElement) -> RingElement:
     """u*v: the termwise products, rewritten by the declared rules.
 
     The rewritten form stands when it is zero, has no finite table, lies on
-    the table's slots, carries a 2-torsion term e^k*xi^j (k, j >= 1, which
-    evaluates to 0), or re-solves ambiguously; otherwise it is re-solved
-    from its evaluation pair.  A scalar product outside the point-ring
-    fragment is solved from the product of the factors' evaluations.
+    the table's slots, or carries a 2-torsion term e^k*xi^j (k, j >= 1,
+    which evaluates to 0); otherwise it is re-solved from its evaluation
+    pair.  A scalar product outside the point-ring fragment is solved from
+    the product of the factors' evaluations, and a solve that fails there
+    keeps the FragmentError as its context.
     """
     if u.space is not v.space:
         raise ValueError("elements live over different spaces")
@@ -307,16 +307,10 @@ def multiply(u: RingElement, v: RingElement) -> RingElement:
         if slots.issuperset(element.terms) or any(
                 s.e and s.xi for s in element.terms.values()):
             return element
-        solved, _, ambiguous = solve_with_coefficients(space, grading, *element.evaluate())
-        return element if ambiguous else solved
+        return solve_with_coefficients(space, grading, *element.evaluate())[0]
     except FragmentError:
         rho, fix = (a * b for a, b in zip(u.evaluate(), v.evaluate()))
-        solved, _, ambiguous = solve_with_coefficients(space, grading, rho, fix)
-        if ambiguous:
-            raise AmbiguousSolveError(
-                "underdetermined solve: the evaluation pair does not separate "
-                f"the dressed basis slots in degree {grading}")
-        return solved
+        return solve_with_coefficients(space, grading, rho, fix)[0]
 
 
 def scalar_multiple(u: RingElement, scalar: PointScalar) -> RingElement:
@@ -350,15 +344,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _restrict(x0: list[int], basis: list[list[int]], row: list[int],
-              target: int | None) -> tuple[list[int], list[list[int]]]:
+              target: int) -> tuple[list[int], list[list[int]], int]:
     """Cut the affine lattice x0 + Z*basis down to its points with row.x = target.
 
     Extended-gcd column steps, each unimodular so the lattice stays the
     same, leave one vector `step` on which the row takes g = gcd of its
     values on the basis, and make the row vanish on all the others; the
     point then moves along `step` and the others span the new lattice.
-    With target None the row takes the value of least absolute size, the
-    non-negative one on a tie.
+    Returns the point, the new basis and |g| (1 when the row vanishes on
+    the basis, which then stays as it is).
     """
     kept, step, g = [], None, 0
     for vec in basis:
@@ -374,28 +368,28 @@ def _restrict(x0: list[int], basis: list[list[int]], row: list[int],
             step, g = [s * p + t * v for p, v in zip(step, vec)], d
     at = sum(map(mul, row, x0))
     if step is None:
-        if target is not None and at != target:
+        if at != target:
             raise UnsolvableError("evaluation targets are inconsistent with the basis")
-        return x0, basis
-    if target is None:
-        target = at % abs(g)
-        if 2 * target > abs(g):
-            target -= abs(g)
+        return x0, basis, 1
     shift, rest = divmod(target - at, g)
     if rest:
         raise UnsolvableError(f"no integer point: {target - at} is not a multiple of {abs(g)}")
-    return ([x + shift * p for x, p in zip(x0, step)] if shift else x0), kept
+    return ([x + shift * p for x, p in zip(x0, step)] if shift else x0), kept, abs(g)
 
 
-def _kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
+def _kernel(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
     """A basis of ker(rows) ∩ Z^ncols: the identity lattice cut one row at a
-    time, stopping once nothing is left."""
-    x, basis = [0] * ncols, [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)]
+    time, stopping once nothing is left; and the product of the |g| the
+    cuts find.  The cut vectors, in order, make the rows lower triangular
+    with those g on the diagonal, so for a square system with a zero
+    kernel the product is |det|."""
+    x, basis, index = [0] * ncols, [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)], 1
     for row in rows:
         if not basis:
             break
-        x, basis = _restrict(x, basis, row, 0)
-    return basis
+        x, basis, g = _restrict(x, basis, row, 0)
+        index *= g
+    return basis, index
 
 
 def _integer_solve(rows: list[list[int]], rhs: list[int],
@@ -408,26 +402,9 @@ def _integer_solve(rows: list[list[int]], rhs: list[int],
     integer point when t only takes multiples of a larger number (the
     least denominator of a rational solution).
     """
-    basis = _kernel([[*row, -target] for row, target in zip(rows, rhs)], ncols + 1)
-    x, basis = _restrict([0] * (ncols + 1), basis, [0] * ncols + [1], 1)
+    basis, _ = _kernel([[*row, -target] for row, target in zip(rows, rhs)], ncols + 1)
+    x, basis, _ = _restrict([0] * (ncols + 1), basis, [0] * ncols + [1], 1)
     return x[:ncols], [vec[:ncols] for vec in basis]
-
-
-def _least_point(x: list[int], basis: list[list[int]], burnside: list[bool],
-                 unknowns: list[tuple[int, int, int]]) -> list[int]:
-    """The least point of x + Z*basis, which depends on that set alone: from
-    the last candidate of _equations backwards, its fix and then its rho
-    coordinate (one and the same for an integer coefficient) of least
-    absolute size, non-negative on a tie, so earlier candidates absorb
-    what the lattice leaves free."""
-    for k in reversed(range(len(burnside))):
-        if not basis:
-            break
-        rho_row = [w if j == k else 0 for j, w, _ in unknowns]
-        fix_row = [w if j == k else 0 for j, _, w in unknowns]
-        for row in ([fix_row, rho_row] if burnside[k] else [rho_row]):
-            x, basis = _restrict(x, basis, row, None)
-    return x
 
 
 def _dressed_slots(grading: GradingElement, monos: tuple[Mono, ...],
@@ -501,19 +478,16 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     ambiguous) with one (template, mono, coefficient) record per candidate,
     zeros included.
 
-    Some cosets carry distinct classes with equal evaluation pairs (e.g. a
-    kappa-multiple of one slot against the e^-2 kappa dressing of another).
-    The answer is always the exact least point of the solution lattice (see
-    _least_point), and the flag is True when that lattice has a non-zero
-    kernel; callers that must not guess read the flag.  verify's coset
-    round trip takes the same point from the slot's own unit point, with
-    no solve (see _round_trips).
+    The solution must be unique: a non-zero kernel raises
+    AmbiguousSolveError, naming the candidates it leaves free.  A table
+    whose slots are a Z-basis on both sides (verify's coset-tables check)
+    has none, so only an ansatz can.  The flag is always False, and stays
+    for callers that unpack it.
 
-    The flag counts only the lattice kernel.  A slot whose gap is the
-    degree of a 2-torsion class e^k*xi^j (k, j >= 1) has no candidate at
-    all: the class evaluates to 0 under both maps, so no solve can see a
-    term on it, and re-solving an element that carries one drops that
-    term without flagging anything.
+    A slot whose gap is the degree of a 2-torsion class e^k*xi^j (k, j >= 1)
+    has no candidate at all: the class evaluates to 0 under both maps, so
+    no solve can see a term on it, and re-solving an element that carries
+    one drops that term without a word.
     """
     candidates = (_dressed_slots(grading, *space.coset_table(grading))
                   if ansatz is None else list(ansatz))
@@ -537,12 +511,18 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     except UnsolvableError as err:  # re-raised as is, so its context stays
         err.args = (f"{err} in degree {grading} of {space.name}",)
         raise
-    values = iter(_least_point(x, basis, burnside, unknowns))
+    if basis:
+        free = dict.fromkeys(render_terms((candidates[unknowns[j][0]],))
+                             for vec in basis for j, v in enumerate(vec) if v)
+        raise AmbiguousSolveError(
+            f"underdetermined solve in degree {grading} of {space.name}: the "
+            f"evaluation pair does not separate {', '.join(free)}")
+    values = iter(x)
     records = tuple(
         (template, mono, BurnsideScalar(next(values), next(values)) if two else next(values))
         for (template, mono), two in zip(candidates, burnside))
     element = RingElement(space, grading, [(t.scale(c), m) for t, m, c in records])
-    return element, records, bool(basis)
+    return element, records, False
 
 
 # --------------------------------------------------------------------------
@@ -563,24 +543,37 @@ def _sample_keys(space: SpacePresentation):
     return keys
 
 
-def _round_trips(space: SpacePresentation, slot: Mono) -> bool:
-    """Whether solve_with_coefficients gives the slot back from its own pair.
+def _is_basis(columns: list[tuple[NonequivClass, ...]]) -> bool:
+    """Whether the columns, each a class per ring, are linearly independent
+    and span a saturated lattice over the keys they touch: a zero kernel and
+    index 1 (|det| = 1 once there are as many keys as columns)."""
+    rows: dict[tuple[int, Key], list[int]] = {}
+    for j, classes in enumerate(columns):
+        for ci, cls in enumerate(classes):
+            for key, c in cls.coeffs.items():
+                rows.setdefault((ci, key), [0] * len(columns))[j] = c
+    basis, index = _kernel(list(rows.values()), len(columns))
+    return not basis and index == 1
 
-    The slot is a candidate at its own degree (gap (0, 0), template ONE),
-    so its unit point e solves the pair, and the solve's answer is the
-    least point of e plus the candidates' kernel: e when that is zero.
+
+def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]:
+    """The sides on which a coset table's undressed slots are not a Z-basis:
+    "rho" of H*(X), "fixed" of the fixed components' cohomology.
+
+    Either matrix must be square, and with a zero kernel its |det| is the
+    index _kernel reports.  rho(slot) is homogeneous of the slot's
+    underlying degree, so the rho matrix is block-diagonal by that degree
+    and each block is cut on its own.
     """
-    grading = space.mono_grading(slot)
-    candidates = _dressed_slots(grading, *space.coset_table(grading))
-    assert (ONE, slot) in candidates, \
-        f"{space.name}: slot {mono_str(slot)} is not a candidate at its own degree"
-    burnside, unknowns, table = _equations(space, candidates)
-    basis = _kernel(list(table.values()), len(unknowns))
-    if not basis:
-        return True
-    k = candidates.index((ONE, slot))
-    e = [int(unknown == (k, 1, 1)) for unknown in unknowns]
-    return _least_point(e, basis, burnside, unknowns) == e
+    slots = space.coset_basis(key)
+    evals = [space.eval_mono(m) for m in slots]
+    blocks: dict[int, list[tuple[NonequivClass]]] = {}
+    for m, (rho, _) in zip(slots, evals):
+        blocks.setdefault(space.mono_grading(m).underlying_dim(), []).append((rho,))
+    rho_ok = len(slots) == space.underlying.rank() and all(map(_is_basis, blocks.values()))
+    fix_ok = (len(slots) == sum(ring.rank() for ring in space.fixed_rings)
+              and _is_basis([fix.parts for _, fix in evals]))
+    return [side for side, ok in (("rho", rho_ok), ("fixed", fix_ok)) if not ok]
 
 
 def verify_presentation(space: SpacePresentation) -> dict:
@@ -663,8 +656,8 @@ def verify_presentation(space: SpacePresentation) -> dict:
             == multiply(shift, multiply(ident["cw1"], ident["cw2"])))
 
     if space.family != "BU1":
-        bad = [mono_str(slot) for key in _sample_keys(space)
-               for slot in space.coset_basis(key) if not _round_trips(space, slot)]
+        bad = [f"{side} side of coset {key}" for key in _sample_keys(space)
+               for side in _singular_sides(space, key)]
         record("coset-tables", not bad, ", ".join(bad[:4]))
 
     return {

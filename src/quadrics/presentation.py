@@ -332,9 +332,12 @@ class SpacePresentation:
         tuple in slot order; the key fixes the rest of every slot's grading.
 
         A table is its blocks (see _block) in prefix order: X1q has one,
-        with the empty prefix; a quadric has z11^m and z00^-m*x when m >= 0,
-        z00^-m and z11^m*xp when m < 0; Q22 has its zeta prefix and
-        z00^-m*z01^-n*x, where n = key[2] - key[1].
+        with the empty prefix.  Else, per zeta pair (a, b, e) of _zeta_pairs,
+        the zeta prefix takes b^e if e >= 0, else a^-e, and the section
+        prefix the other letter, inverted, times the letter whose credits
+        are exactly its zetas: on a quadric z11^m with z00^-m*x, or z00^-m
+        with z11^m*xp; on Q22 x, x1, x2 or x0 for the signs of e (+, +),
+        (-, +), (+, -) and (-, -).
         """
         key = _coset_key(key)
         cached = self._table_cache.get(key)
@@ -343,18 +346,15 @@ class SpacePresentation:
         if self.family == "BU1":
             raise NoFiniteTableError("the classifying space carries no finite coset tables")
         self._check_width(key)
-        m = key[0]
-        if self.family == "X1q":
-            prefixes = ({},)
-        elif self.family == "Q22":
-            n = key[2] - key[1]
-            zeta = {"z11": m} if m >= 0 else {"z00": -m}
-            zeta.update({"z10": n} if n >= 0 else {"z01": -n})
-            prefixes = (zeta, self._x_prefix(key))
-        elif m >= 0:
-            prefixes = ({"z11": m}, self._x_prefix(key))
-        else:
-            prefixes = ({"z00": -m}, {"z11": m, "xp": 1})
+        zeta, section = {}, {}
+        for a, b, e in self._zeta_pairs(key):
+            zeta[b if e >= 0 else a] = abs(e)
+            section[a if e >= 0 else b] = -abs(e)
+        prefixes = [zeta]
+        if section:
+            letter = next(name for name, letter in self.letters.items()
+                          if letter.credits == section.keys())
+            prefixes.append({**section, letter: 1})
         monos = [mono for prefix in prefixes for mono in self._block(key, prefix)]
         for mono in monos:
             if not self.is_admissible(mono):
@@ -377,16 +377,18 @@ class SpacePresentation:
         """The admissible x-multiples that span the section ideal in a coset,
         with their degrees as coset_table gives a table's.
 
-        They are the admissible slots of the coset's z00^-m*x block
-        (z00^-m*z01^-n*x on Q22), whatever the sign of m.  On Q22, and on
-        a quadric when m >= 0, that is exactly the table's x-slots; when
-        m < 0 a quadric's table writes the same classes on xp slots.
+        They are the admissible slots of the coset's x block, whose prefix
+        is a^-e per zeta pair (a, b) (z00^-m*x on a quadric, z00^-m*z01^-n*x
+        on Q22), whatever the signs of the e.  Where every e >= 0 that is
+        exactly the table's section block; elsewhere the table writes the
+        same classes on the slots of another section letter.
         """
         key = _coset_key(key)
         if "x" not in self.letters:
             raise ValueError(f"{self.name} has no section class x")
         self._check_width(key)
-        family = self._block(key, self._x_prefix(key))
+        prefix = {a: -e for a, _, e in self._zeta_pairs(key)}
+        family = self._block(key, {**prefix, "x": 1})
         return self._graded_slots(key, filter(self.is_admissible, family))
 
     def _check_width(self, key: tuple[int, ...]) -> None:
@@ -394,11 +396,15 @@ class SpacePresentation:
         if len(key) != width:
             raise ValueError(f"expected a {width}-component coset key, got {key}")
 
-    def _x_prefix(self, key: tuple[int, ...]) -> dict[str, int]:
-        prefix = {"z00": -key[0], "x": 1}
-        if self.family == "Q22":
-            prefix["z01"] = key[1] - key[2]
-        return prefix
+    def _zeta_pairs(self, key: tuple[int, ...]) -> list[tuple[str, str, int]]:
+        """(a, b, e) per zeta pair (a, b) that a fibre letter lifts to --
+        (z00, z11) from z0, and on Q22 also (z01, z10) from z1 -- with
+        e = W_b - W_a on the key.  The key holds each W_c offset from the
+        first label's, and z<c> has grading W_c."""
+        offset = dict(zip(self.group.labels, (0, *key)))
+        pairs = (self.fibre[name] for name in ("z0", "z1"))
+        return [(a, b, offset[b[1:]] - offset[a[1:]]) for a, b in
+                (pair for pair in pairs if len(pair) == 2)]
 
     def _block(self, key: tuple[int, ...], prefix: Mapping[str, int]) -> list[Mono]:
         """The fibre slots at offset k, lifted and multiplied by `prefix`.

@@ -249,14 +249,13 @@ def test_solve_json_output(capsys):
     }
 
 
-def test_solve_flags_evaluation_equal_classes(capsys):
+def test_solve_recovers_a_far_q22_slot_without_a_note(capsys):
+    # a far coset whose table spans: the answer is unique, with no note
     code, out, _ = invoke(capsys, "solve", "Q22", "--coset=-2,-2,-2",
                           "--rho", "1", "--fix", "0;1;1;1")
     assert code == 0
     assert out.splitlines()[0] == "z00^2"
-    assert out.splitlines()[-1] == ("note: this degree carries "
-                                    "evaluation-equal classes; the "
-                                    "basis-order tie-break was applied")
+    assert "note" not in out
 
 
 def test_solve_degree_flag_and_failure_modes(capsys):

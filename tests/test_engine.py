@@ -170,13 +170,25 @@ def test_products_outside_the_fragment_fail_loudly():
     assert isinstance(info.value.__context__, FragmentError)
 
 
-def test_an_ambiguous_product_outside_the_fragment_is_not_guessed():
-    # the termwise scalar e * e^-2 kappa leaves the fragment, and the
-    # product's evaluation pair does not separate the slots of its degree
-    q22 = load_presentation("Q22")
+def test_an_ambiguous_product_outside_the_fragment_is_not_guessed(monkeypatch):
+    # the termwise scalar e * e^-2 kappa leaves the fragment, and the product
+    # is solved from the factors' evaluations; with every Q22 slot listed
+    # twice the pair no longer separates the candidates, and the solve raises
+    q22 = presentation._build_q22()
     u = elt(q22, PointScalar.e_power(1), z00=5, z11=1, cw=1)
     v = elt(q22, PointScalar.kappa_negative(1), z00=5, z11=1, z10=1, cw=1)
-    with pytest.raises(AmbiguousSolveError) as info:
+    product = multiply(u, v)
+    rho, fix = (a * b for a, b in zip(u.evaluate(), v.evaluate()))
+    assert product.evaluate() == (rho, fix)
+    coset_table = SpacePresentation.coset_table
+
+    def doubled(self, key):
+        monos, degrees = coset_table(self, key)
+        return monos + monos, degrees + degrees
+
+    monkeypatch.setattr(SpacePresentation, "coset_table", doubled)
+    with pytest.raises(AmbiguousSolveError, match=re.escape(
+            f"underdetermined solve in degree {product.grading} of Q22")) as info:
         multiply(u, v)
     assert isinstance(info.value.__context__, FragmentError)
 
@@ -296,29 +308,81 @@ def test_solve_round_trips_on_sampled_cosets():
 
 
 def test_the_round_trip_kernel_test_agrees_with_the_solve():
-    # the round trip is the solve's answer without a solve, and the solve is
-    # flagged exactly where the candidates at the slot's degree have a
-    # kernel; only eight Q22 slots do, and the tie-break still gives them back
-    dependent = set()
+    # every sampled table spans on both sides, so the candidates at each
+    # slot's degree have an empty kernel and the solve gives the slot back
     for name, q in TABLED:
         sp = load_presentation(name, q)
         for key in engine._sample_keys(sp):
+            assert engine._singular_sides(sp, key) == [], (sp.name, key)
             for slot in sp.coset_basis(key):
                 grading = sp.mono_grading(slot)
-                solved, _, ambiguous = solve_with_coefficients(
-                    sp, grading, *sp.eval_mono(slot))
-                where = (sp.name, mono_str(slot))
-                assert engine._round_trips(sp, slot) == (solved.terms == {slot: ONE}), where
                 _, unknowns, table = engine._equations(
                     sp, engine._dressed_slots(grading, *sp.coset_table(grading)))
-                assert bool(engine._kernel(list(table.values()), len(unknowns))) \
-                    is ambiguous, where
-                assert solved.terms == {slot: ONE}, where
-                if ambiguous:
-                    dependent.add((name, mono_str(slot)))
-    assert dependent == {("Q22", slot) for slot in (
-        "z00*z01^2*z10", "z00*z01*cw", "z01", "z00*z11*z01*cw",
-        "z00*z01^2*z10*x", "z00*z01*cw*x", "z01*x", "z00*z11*z01*cw*x")}
+                where = (sp.name, mono_str(slot))
+                assert engine._kernel(list(table.values()), len(unknowns))[0] == [], where
+                solved, _, ambiguous = solve_with_coefficients(
+                    sp, grading, *sp.eval_mono(slot))
+                assert solved.terms == {slot: ONE} and not ambiguous, where
+
+
+# the spanning grid: [-3, 3] per key component
+SPAN_SPACES = ([("Q22", None), ("Gr222", None)] + [("Q_BD", q) for q in range(9)]
+               + [("Q_DD", q) for q in range(2, 9)] + [("X1q", q) for q in range(9)])
+
+
+def _grid_keys(sp):
+    for key in itertools.product(range(-3, 4), repeat=len(sp.group.labels) - 1):
+        try:
+            sp.coset_basis(key)
+        except NoFiniteTableError:
+            continue  # a deep coset of the bare bundle
+        yield key
+
+
+def test_every_table_of_the_grid_spans_on_both_sides():
+    tables = 0
+    for name, q in SPAN_SPACES:
+        sp = load_presentation(name, q)
+        for key in _grid_keys(sp):
+            assert engine._singular_sides(sp, key) == [], (sp.name, key)
+            tables += 1
+    assert tables == 1233
+
+
+def test_q22_determinants_match_sympy():
+    # the dense matrices over every basis key of every ring, against the
+    # lattice cut: both determinants are +-1 on every coset of the grid
+    q22 = load_presentation("Q22")
+    for key in _grid_keys(q22):
+        slots = q22.coset_basis(key)
+        evals = [q22.eval_mono(m) for m in slots]
+        rho = sympy.Matrix([[r.coefficient(k) for r, _ in evals]
+                            for k in q22.underlying.basis_keys()])
+        fix = sympy.Matrix([[f.parts[i].coefficient(k) for _, f in evals]
+                            for i, ring in enumerate(q22.fixed_rings)
+                            for k in ring.basis_keys()])
+        assert (abs(rho.det()), abs(fix.det())) == (1, 1), key
+        assert engine._singular_sides(q22, key) == [], key
+
+
+@pytest.mark.parametrize("name, q", [("Q22", None), ("Gr222", None), ("Q_BD", 3),
+                                     ("Q_DD", 4), ("X1q", 3)])
+def test_deleting_any_slot_of_a_sampled_coset_fails_the_coset_tables_check(
+        monkeypatch, name, q):
+    sp = load_presentation(name, q)
+    coset_table = SpacePresentation.coset_table
+    for key in engine._sample_keys(sp):
+        monos, degrees = coset_table(sp, key)
+        for i in range(len(monos)):
+            cut = (monos[:i] + monos[i + 1:], degrees[:2 * i] + degrees[2 * i + 2:])
+            monkeypatch.setattr(
+                SpacePresentation, "coset_table",
+                lambda self, k, key=key, cut=cut: cut if self is sp and (
+                    k if isinstance(k, tuple) else k.coset_key()) == key
+                else coset_table(self, k))
+            report = verify_presentation(sp)
+            assert report["checks"]["coset-tables"] is False, (sp.name, key, i)
+            assert f"side of coset {key}" in report["failures"][-1], (sp.name, key, i)
 
 
 def test_inconsistent_targets_are_rejected():
@@ -387,124 +451,53 @@ def test_solves_match_the_dense_system(name, q):
     assert unique
 
 
-def test_phantom_coset_is_ambiguous_but_tie_break_restores_slots():
-    # on the four-point quadric some far cosets evaluate with a kernel: the
-    # solve flags them, and the tie-break still returns the slot
+def test_a_far_q22_coset_is_unambiguous_and_gives_its_slots_back():
+    # a far coset whose slots use x0: its table spans, so no solve is ambiguous
     q22 = load_presentation("Q22")
+    assert engine._singular_sides(q22, (-2, -2, -2)) == []
     for m in coset_basis(q22, (-2, -2, -2)):
-        g = q22.mono_grading(m)
-        rho, fix = q22.eval_mono(m)
-        el, _, ambiguous = solve_with_coefficients(q22, g, rho, fix)
-        assert ambiguous
+        el, _, ambiguous = solve_with_coefficients(q22, q22.mono_grading(m), *q22.eval_mono(m))
+        assert not ambiguous
         assert el == RingElement.from_mono(q22, m)
 
 
 def test_ansatz_solves_with_a_wide_kernel_or_a_large_denominator_answer():
-    # four copies of x leave six of eight unknowns free, and the template 20
-    # puts a denominator of 20 on the rational solution; both have a least
-    # integer point, which earlier slots absorb
+    # four copies of x leave six of eight unknowns free, and the solve
+    # raises rather than pick a point; the template 20 alone puts a
+    # denominator of 20 on the rational solution, and the integer point is
+    # still the one answer
     x, one = BD2.mono(x=1), PointScalar.integer(1)
     g = BD2.mono_grading(x)
     rho, fix = BD2.eval_mono(x)
-    el, records, ambiguous = solve_with_coefficients(BD2, g, rho, fix, ansatz=[(one, x)] * 4)
-    assert ambiguous and el == elt(BD2, x=1)
-    assert [c for _, _, c in records] == [B(1, 0), B(0, 0), B(0, 0), B(0, 0)]
+    with pytest.raises(AmbiguousSolveError, match=re.escape(
+            f"underdetermined solve in degree {g} of Q_BD(q=2): the evaluation "
+            "pair does not separate x")):
+        solve_with_coefficients(BD2, g, rho, fix, ansatz=[(one, x)] * 4)
     el, records, ambiguous = solve_with_coefficients(
-        BD2, g, 100 * rho, fix * 100, ansatz=[(PointScalar.integer(20), x), (one, x)])
-    assert ambiguous and el == 100 * elt(BD2, x=1)
-    assert [c for _, _, c in records] == [B(5, 0), B(0, 0)]
-
-
-def _tie_break_key(values):
-    """Smallest from the last coordinate backwards, non-negative first on a tie."""
-    return tuple((abs(v), v < 0) for v in reversed(values))
-
-
-def _assert_least_point_in_box(sp, grading, rho, fix, ansatz=None, radius=2):
-    """No solution within `radius` of the returned one, in evaluation
-    coordinates (rho and fix of a Burnside coefficient), has a smaller key."""
-    _, records, _ = solve_with_coefficients(sp, grading, rho, fix, ansatz=ansatz)
-    matrix, target, point = _dense_system(sp, records, rho, fix)
-    rows = [[int(a) for a in row] for row in matrix.tolist()]
-    target = [int(t) for t in target]
-    pairs, i = [], 0  # the index of each Burnside coefficient's rho
-    for _, _, coeff in records:
-        two = isinstance(coeff, BurnsideScalar)
-        pairs += [i] if two else []
-        i += 1 + two
-    best, solutions = _tie_break_key(point), 0
-    for offset in itertools.product(range(-radius, radius + 1), repeat=len(point)):
-        y = [p + o for p, o in zip(point, offset)]
-        if any((y[j] - y[j + 1]) % 2 for j in pairs):
-            continue  # no Burnside element has this (rho, fix)
-        if all(sum(a * b for a, b in zip(row, y)) == t for row, t in zip(rows, target)):
-            solutions += 1
-            assert _tie_break_key(y) >= best, (sp.name, str(grading), y, point)
-    assert solutions >= 1
-    return solutions
+        BD2, g, 100 * rho, fix * 100, ansatz=[(PointScalar.integer(20), x)])
+    assert not ambiguous and el == 100 * elt(BD2, x=1)
+    assert [c for _, _, c in records] == [B(5, 0)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(-6, 6).filter(bool), st.integers(-3, 3),
                           st.integers(-3, 3)), min_size=1, max_size=3))
-def test_the_tie_break_takes_the_least_point_of_the_lattice(drawn):
-    # Burnside templates on one slot: a lattice of dimension up to four
+def test_a_repeated_slot_ansatz_raises_exactly_with_two_or_more_candidates(drawn):
+    # Burnside templates on one slot: one candidate is pinned down by x's
+    # rho and fixed values, two or more leave a kernel
     x = BD2.mono(x=1)
     ansatz = [(PointScalar.integer(k), x) for k, _, _ in drawn]
+    coeffs = [B(a, b) for _, a, b in drawn]
     element = RingElement(BD2, BD2.mono_grading(x), [
-        (template.scale(B(a, b)), x) for (template, _), (_, a, b) in zip(ansatz, drawn)])
-    _assert_least_point_in_box(BD2, element.grading, *element.evaluate(), ansatz=ansatz,
-                               radius=2 if len(drawn) < 3 else 1)
-
-
-def test_the_tie_break_takes_the_least_point_on_phantom_cosets():
-    q22 = load_presentation("Q22")
-    found = 0
-    for key in ((-2, -2, -2), (-3, -3, -3)):
-        for m in coset_basis(q22, key):
-            for shift in ((0, 0), (0, 2), (0, -2)):
-                template, _ = scalar_dressing(shift)
-                rho, fix = q22.eval_mono(m)
-                rho, fix = template.rho_multiplier() * rho, fix * template.fix_multiplier()
-                found += _assert_least_point_in_box(
-                    q22, q22.mono_grading(m) + q22.group.element(*shift), rho, fix) > 1
-    assert found
-
-
-@st.composite
-def affine_lattices(draw):
-    """Candidate flags, their unknowns as in engine._equations, a point, a
-    generating set, and a shift and a unimodular change of that set."""
-    burnside = draw(st.lists(st.booleans(), min_size=1, max_size=4))
-    unknowns = []
-    for k, two in enumerate(burnside):
-        unknowns += [(k, 1, 1), (k, 2, 0)] if two else [(k, 1, 1)]
-    entry = st.integers(-4, 4)
-    vector = st.lists(entry, min_size=len(unknowns), max_size=len(unknowns))
-    basis = draw(st.lists(vector, max_size=len(unknowns)))
-    x = draw(vector)
-    shift = draw(st.lists(entry, min_size=len(basis), max_size=len(basis)))
-    steps = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), entry),
-                          max_size=8))
-    return burnside, unknowns, x, basis, shift, steps
-
-
-@settings(max_examples=200, deadline=None)
-@given(affine_lattices())
-def test_the_least_point_depends_only_on_the_affine_lattice(lattice):
-    burnside, unknowns, x, basis, shift, steps = lattice
-    least = engine._least_point(list(x), [list(v) for v in basis], burnside, unknowns)
-    moved = [p + sum(c * v[j] for c, v in zip(shift, basis)) for j, p in enumerate(x)]
-    changed = [list(v) for v in basis]
-    for i, j, c in steps:  # elementary column steps and sign flips are unimodular
-        if not changed:
-            break
-        i, j = i % len(changed), j % len(changed)
-        if i == j:
-            changed[i] = [-a for a in changed[i]]
-        else:
-            changed[i] = [a + c * b for a, b in zip(changed[i], changed[j])]
-    assert engine._least_point(moved, changed, burnside, unknowns) == least
+        (template.scale(c), x) for (template, _), c in zip(ansatz, coeffs)])
+    if len(drawn) > 1:
+        with pytest.raises(AmbiguousSolveError, match="does not separate"):
+            solve_with_coefficients(BD2, element.grading, *element.evaluate(), ansatz=ansatz)
+        return
+    el, records, ambiguous = solve_with_coefficients(
+        BD2, element.grading, *element.evaluate(), ansatz=ansatz)
+    assert el == element and not ambiguous
+    assert [c for _, _, c in records] == coeffs
 
 
 def _scanned_candidates(sp, grading, monos):
@@ -518,7 +511,7 @@ def _scanned_candidates(sp, grading, monos):
 
 
 def test_candidates_match_the_full_dressing_scan():
-    # same templates on the same slots in table order, which the tie-break reads
+    # same templates on the same slots in table order, which the records follow
     for name, q in TABLED:
         sp = load_presentation(name, q)
         for key in engine._sample_keys(sp):
@@ -639,7 +632,8 @@ def test_verify_records_a_product_that_cannot_be_solved(monkeypatch):
 
 
 def test_verify_reports_a_coset_slot_that_does_not_round_trip(monkeypatch):
-    # with its evaluation pair zeroed, z11*cw*cxw solves back to 0, not to itself
+    # with its evaluation pair zeroed, z11*cw*cxw is a zero column on both
+    # sides, so neither side of its coset spans
     bd3 = presentation._build_quadric("BD", 3)
     slot = bd3.mono(z11=1, cw=1, cxw=1)
     assert slot in bd3.coset_basis((1, 0))
@@ -654,13 +648,15 @@ def test_verify_reports_a_coset_slot_that_does_not_round_trip(monkeypatch):
     monkeypatch.setattr(SpacePresentation, "eval_mono", zeroed)
     report = verify_presentation(bd3)
     assert report["checks"]["coset-tables"] is False
-    assert report["failures"] == ["coset-tables: z11*cw*cxw"]
+    assert report["failures"] == [
+        "coset-tables: rho side of coset (1, 0), fixed side of coset (1, 0)"]
     assert report["ok"] is False
 
 
 def test_verify_reports_a_coset_slot_that_solves_to_an_earlier_candidate(monkeypatch):
-    # z00*z11^2*cw evaluating like its earlier candidate e^2*z11 leaves a
-    # non-zero column in the kernel, and the tie-break gives it to e^2*z11
+    # z00*z11^2*cw evaluating like its earlier candidate e^2*z11 is a zero
+    # rho column and repeats z11's fixed column, so neither side spans, and
+    # a solve of that pair has a kernel and raises, naming both candidates
     bd3 = presentation._build_quadric("BD", 3)
     slot = bd3.mono(z00=1, z11=2, cw=1)
     assert slot in bd3.coset_basis((1, 0))
@@ -676,11 +672,14 @@ def test_verify_reports_a_coset_slot_that_solves_to_an_earlier_candidate(monkeyp
         return pair if self is bd3 and m == slot else eval_mono(self, m)
 
     monkeypatch.setattr(SpacePresentation, "eval_mono", dependent)
-    assert not engine._round_trips(bd3, slot)
-    assert solve_with_coefficients(bd3, grading, *pair)[0] == earlier
+    assert engine._singular_sides(bd3, (1, 0)) == ["rho", "fixed"]
+    with pytest.raises(AmbiguousSolveError, match=re.escape(
+            "does not separate e^2*z11, z00*z11^2*cw")):
+        solve_with_coefficients(bd3, grading, *pair)
     report = verify_presentation(bd3)
     assert report["checks"]["coset-tables"] is False
-    assert report["failures"] == ["coset-tables: z00*z11^2*cw"]
+    assert report["failures"] == [
+        "coset-tables: rho side of coset (1, 0), fixed side of coset (1, 0)"]
     assert report["ok"] is False
 
 
@@ -792,9 +791,11 @@ def _has_integer_solution(rows, rhs):
 def test_integer_solve_matches_gauss_jordan_and_the_smith_form(system):
     rows, rhs, ncols = system
     matrix = sympy.Matrix(len(rows), ncols, [a for row in rows for a in row])
-    kernel = engine._kernel([list(row) for row in rows], ncols)
+    kernel, index = engine._kernel([list(row) for row in rows], ncols)
     assert len(kernel) == ncols - matrix.rank()
     _assert_saturated_kernel(matrix, kernel)
+    if len(rows) == ncols and not kernel:  # a square system: the index is |det|
+        assert index == abs(matrix.det())
     got = _solve_or_error(engine._integer_solve, system)
     reference = _solve_or_error(_fraction_gauss_jordan, system)
     inconsistent = isinstance(reference, str)

@@ -6,6 +6,7 @@ import pytest
 
 from quadrics import cli, enumerative
 from quadrics.burnside import BurnsideScalar
+from quadrics.engine import AmbiguousSolveError
 from quadrics.enumerative import LineCountResult, euler_sym3, sym3_grading
 from quadrics.nonequiv import euler_fixed_sym3, euler_sym3_rank2
 from quadrics.presentation import load_presentation
@@ -87,11 +88,12 @@ def test_to_json_is_stable():
 
 
 def test_an_ambiguous_euler_solve_fails_loudly(monkeypatch):
-    # the count reads the solve's flag rather than trusting a tie-break
-    solve = enumerative.solve_with_coefficients
-    monkeypatch.setattr(enumerative, "solve_with_coefficients",
-                        lambda *args: (*solve(*args)[:2], True))
-    with pytest.raises(RuntimeError, match=re.escape(
-            f"evaluation pair in degree {sym3_grading('even')}")):
+    # an ambiguous solve raises, and the count does not catch it
+    def ambiguous(space, grading, *targets):
+        raise AmbiguousSolveError(f"underdetermined solve in degree {grading}")
+
+    monkeypatch.setattr(enumerative, "solve_with_coefficients", ambiguous)
+    with pytest.raises(AmbiguousSolveError, match=re.escape(
+            f"in degree {sym3_grading('even')}")):
         euler_sym3("even")
     assert cli.run(["lines27", "--parity", "odd"]) == 1

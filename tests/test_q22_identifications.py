@@ -1,5 +1,7 @@
 """Four-point quadric: point pushforwards and the bundle-class dictionary."""
 
+import itertools
+
 from quadrics.burnside import BurnsideScalar
 from quadrics.engine import (
     RingElement, multiply, normal_form, solve_with_coefficients,
@@ -100,3 +102,29 @@ def test_identification_monomials_use_inverse_ruling_coordinates():
     # first ruling: section divided by the two diagonal-component classes
     assert [mono_str(m) for _, m in Q22.identifications["cw1"]] == ["z00^-1*z01^-1*x"]
     assert [mono_str(m) for _, m in Q22.identifications["cxw1"]] == ["z11^-1*z10^-1*x0"]
+
+
+def test_every_monomial_of_the_box_normal_forms_to_its_evaluation():
+    # z00^a*z11^b*z01^c*z10^d*s with a..d in [-2, 2]: x0, x1 and x2 license
+    # inverses that x does not, and their cosets' tables span too
+    count = 0
+    for exps in itertools.product(range(-2, 3), repeat=4):
+        zetas = dict(zip(("z00", "z11", "z01", "z10"), exps))
+        for letter in ("x", "x0", "x1", "x2", "cw", "cxw"):
+            mono = Q22.mono(zetas, **{letter: 1})
+            if not Q22.is_admissible(mono):
+                continue
+            u = RingElement.from_mono(Q22, mono)
+            assert normal_form(u).evaluate() == u.evaluate(), mono_str(mono)
+            count += 1
+    assert count == 1350
+
+
+def test_a_product_onto_a_once_degenerate_coset_multiplies():
+    # it rewrites to z11^-1*z01^-1*z10^-2*cxw^2*x0, off the table of its
+    # coset (-1, -3, -4), and is re-solved onto that table's x0 block
+    u = RingElement.from_mono(Q22, Q22.mono(z10=-1, cxw=1))
+    v = RingElement.from_mono(Q22, Q22.mono(z11=-1, z01=-1, z10=-1, cxw=1, x0=1))
+    product = multiply(u, v)
+    assert str(product) == "e^2*z11^-1*z01^-2*z10^-3*cxw*x0"
+    assert product.evaluate() == tuple(a * b for a, b in zip(u.evaluate(), v.evaluate()))

@@ -331,21 +331,10 @@ class Expression:
         return isinstance(other, Expression) and self.terms == other.terms
 
     def to_element(self, space: SpacePresentation) -> RingElement:
-        pairs = []
-        for scalar, mono in self.terms:
-            for name, _ in mono:
-                if name not in space.letters:
-                    raise ValueError(
-                        f"{name!r} is not a generator of {space.name}")
-            m = space.mono(dict(mono))
-            if not space.is_admissible(m):
-                raise ValueError(f"monomial {mono_str(m)} is not admissible "
-                                 f"in {space.name}: an unlicensed negative "
-                                 "power")
-            pairs.append((scalar, m))
-        if not pairs:
+        if not self.terms:
             raise ValueError("cannot infer the degree of the zero expression")
-        return RingElement.from_terms(space, pairs)
+        return RingElement.from_terms(
+            space, [(scalar, space.mono(dict(mono))) for scalar, mono in self.terms])
 
 
 def parse(text: str, q: int | None = None) -> Expression:

@@ -34,6 +34,13 @@ non-zero multiplier on one side, so a solve on such a table has no kernel.
 Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
 applications per product) and fails loudly rather than silently
 truncating.
+
+Values are checked once, where they come in: outside terms by
+`RingElement.from_terms`, an ansatz where a solve receives it.  The
+engine's own results trust their terms: a product keeps the letters that
+licensed its factors' negative powers, rules fire only onto admissible
+monomials and are homogeneous (verify's `rule:` checks), and table slots
+are checked when a table is built.
 """
 
 from __future__ import annotations
@@ -115,29 +122,16 @@ def _accumulate(acc: dict[Mono, PointScalar], mono: Mono, scalar: PointScalar) -
 
 
 class RingElement:
-    """A homogeneous class: point-ring scalars against admissible monomials."""
+    """A homogeneous class: point-ring scalars against admissible monomials.
+    The constructor trusts its terms; outside ones come in through `from_terms`."""
 
     __slots__ = ("space", "grading", "terms", "_eval")
 
     def __init__(self, space: SpacePresentation, grading: GradingElement,
-                 terms: Mapping[Mono, PointScalar] | Terms = ()):
+                 terms: Mapping[Mono, PointScalar]):
         self.space = space
         self.grading = grading
-        pairs = terms.items() if isinstance(terms, Mapping) else \
-            [(m, s) for s, m in terms]
-        clean: dict[Mono, PointScalar] = {}
-        want = (grading.group, grading.one, grading.sigma, grading.omega)
-        for mono, scalar in pairs:
-            if not scalar:
-                continue
-            g, (one, sigma) = space.mono_grading(mono), scalar.grading()
-            if (space.group, g.one + one, g.sigma + sigma, g.omega) != want:
-                degree = g + space.group.element(one, sigma)
-                raise ValueError(
-                    f"term {scalar}*{mono_str(mono)} has degree {degree}, "
-                    f"not {grading}")
-            _accumulate(clean, mono, scalar)
-        self.terms = clean
+        self.terms = {m: s for m, s in terms.items() if s}
         self._eval = None
 
     # --- constructors ---
@@ -145,12 +139,22 @@ class RingElement:
     @classmethod
     def from_terms(cls, space: SpacePresentation, terms: Terms,
                    grading: GradingElement | None = None) -> "RingElement":
-        if grading is None:
-            if not terms:
-                raise ValueError("the zero element needs an explicit grading")
-            scalar, mono = terms[0]
-            grading = space.mono_grading(mono) + space.group.element(*scalar.grading())
-        return cls(space, grading, terms)
+        """The door for outside terms: each monomial must be admissible and
+        each non-zero term of degree `grading` (by default the first term's),
+        or ValueError; repeated monomials are summed."""
+        if grading is None and not terms:
+            raise ValueError("the zero element needs an explicit grading")
+        clean: dict[Mono, PointScalar] = {}
+        for scalar, mono in terms:
+            if not space.is_admissible(mono):
+                raise space._refuse(mono, "not admissible, an unlicensed negative power")
+            degree = space.mono_grading(mono) + space.group.element(*scalar.grading())
+            grading = degree if grading is None else grading
+            if scalar and degree != grading:
+                raise ValueError(f"term {scalar}*{mono_str(mono)} has degree {degree}, "
+                                 f"not {grading}")
+            _accumulate(clean, mono, scalar)
+        return cls(space, grading, clean)
 
     @classmethod
     def from_mono(cls, space: SpacePresentation, mono: Mono,
@@ -216,19 +220,15 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, RingElement):
             return multiply(self, other)
+        if isinstance(other, int):
+            other = BurnsideScalar(other, 0)
+        if isinstance(other, BurnsideScalar):
+            other = PointScalar.from_burnside(other)
         if isinstance(other, PointScalar):
             return scalar_multiple(self, other)
-        if isinstance(other, BurnsideScalar):
-            return RingElement(self.space, self.grading,
-                               {m: s.scale(other) for m, s in self.terms.items()})
-        if isinstance(other, int):
-            return self * BurnsideScalar(other, 0)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, RingElement):
-            return NotImplemented
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingElement) and self.space is other.space
@@ -469,7 +469,8 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
 
     Without an ansatz the candidates are the coset-table slots of `grading`,
     each dressed with the unique point-ring scalar filling the degree gap
-    (slots whose gap supports nothing drop out; see _dressed_slots).  A
+    (slots whose gap supports nothing drop out; see _dressed_slots).  An
+    ansatz comes from outside and passes RingElement.from_terms first.  A
     coefficient is a + b*g in the Burnside ring, two integer unknowns,
     where the template is a plain Burnside scalar, and an integer
     otherwise.  The equations are the rows of _equations, then a zero row
@@ -489,8 +490,11 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     no solve can see a term on it, and re-solving an element that carries
     one drops that term without a word.
     """
-    candidates = (_dressed_slots(grading, *space.coset_table(grading))
-                  if ansatz is None else list(ansatz))
+    if ansatz is None:
+        candidates = _dressed_slots(grading, *space.coset_table(grading))
+    else:
+        candidates = list(ansatz)
+        RingElement.from_terms(space, candidates, grading)  # outside data: the door checks it
     burnside, unknowns, table = _equations(space, candidates)
     if not unknowns:
         if rho_target or fix_target:
@@ -521,8 +525,10 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     records = tuple(
         (template, mono, BurnsideScalar(next(values), next(values)) if two else next(values))
         for (template, mono), two in zip(candidates, burnside))
-    element = RingElement(space, grading, [(t.scale(c), m) for t, m, c in records])
-    return element, records, False
+    terms: dict[Mono, PointScalar] = {}
+    for template, mono, coeff in records:
+        _accumulate(terms, mono, template.scale(coeff))
+    return RingElement(space, grading, terms), records, False
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Each family's reduce is its product, in closed form; the ring axioms are
 checked on every ring the constructors can build by a reference test
 (tests/test_nonequiv.py), not at construction.
 
-Classes are sparse integer combinations of basis monomials.  The only
+Classes are sparse integer combinations of basis monomials, their keys
+checked only where they come in: a reduce returns only basis keys.  The only
 non-generic computation here is the Euler class of the third symmetric
 power of a rank-2 bundle, expanded once and for all in Chern classes from
 its weight decomposition.
@@ -158,12 +159,12 @@ class TruncatedRing:
 
 
 class NonequivClass:
+    """A sparse integer combination of a ring's basis keys.  The constructor
+    trusts its keys; a raw key comes in through `monomial`, which checks it,
+    or `from_exponents`, which reduces it."""
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: TruncatedRing, coeffs: Mapping[Key, int]):
-        for k in coeffs:
-            if k not in ring._basis:
-                raise ValueError(f"{k} is not a basis monomial of {ring.name}")
         self.ring = ring
         self.coeffs = {k: int(n) for k, n in coeffs.items() if n}
 
@@ -178,6 +179,8 @@ class NonequivClass:
 
     @classmethod
     def monomial(cls, ring: TruncatedRing, key: Key, n: int = 1) -> "NonequivClass":
+        if key not in ring._basis:
+            raise ValueError(f"{key} is not a basis monomial of {ring.name}")
         return cls(ring, {key: n})
 
     @classmethod

@@ -159,10 +159,10 @@ class Relation:
         return f"Relation({self.name})"
 
 
-def _mono_of(order: tuple[str, ...], exps: Mapping[str, int]) -> Mono:
+def _mono_of(order: tuple[str, ...], exps: Mapping[str, int], where="this presentation") -> Mono:
     for name in exps:
         if name not in order:
-            raise KeyError(f"unknown letter {name!r}")
+            raise ValueError(f"{name!r} is not a generator of {where}")
     return tuple((name, exps[name]) for name in order if exps.get(name, 0))
 
 
@@ -247,10 +247,11 @@ class SpacePresentation:
     # --- monomials ---
 
     def mono(self, exps: Mapping[str, int] | None = None, **kw: int) -> Mono:
+        """A monomial from letter exponents; an unknown letter raises ValueError."""
         merged = dict(exps or {})
         for name, exp in kw.items():
             merged[name] = merged.get(name, 0) + exp
-        return _mono_of(self.letter_order, merged)
+        return _mono_of(self.letter_order, merged, self.name)
 
     def mono_grading(self, m: Mono) -> GradingElement:
         g = self._grading_cache.get(m)

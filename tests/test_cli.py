@@ -188,7 +188,8 @@ def test_nf_rejects_a_divided_class_that_cannot_exist(capsys):
     # cw restricts to c on component 0 of BU1, so z0^-1*cw is no class
     code, out, err = invoke(capsys, "nf", "BU1", "z0^-1*cw")
     assert (code, out) == (2, "")
-    assert "not admissible in BU1" in err
+    for part in ("z0^-1*cw", "2s - 2W0", "BU1", "not admissible"):
+        assert part in err
 
 
 def test_nf_past_the_bu1_window_fails_loudly(capsys):

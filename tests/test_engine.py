@@ -152,6 +152,20 @@ def test_from_terms_rejects_mixed_gradings():
                                      (one, BD2.mono(z00=1))))
 
 
+def test_outside_terms_and_ansatze_are_checked_where_they_come_in():
+    m = BD2.mono(z00=-1)  # no letter licenses z00^-1
+    with pytest.raises(ValueError, match="not admissible") as err:
+        RingElement.from_mono(BD2, m)
+    for part in ("z00^-1", str(BD2.mono_grading(m)), BD2.name):
+        assert part in str(err.value)
+    # an ansatz candidate off the target degree is refused before any solve
+    x = BD2.mono(x=1)
+    degree = BD2.mono_grading(x)
+    wrong = degree + BD2.group.element(sigma=1)
+    with pytest.raises(ValueError, match=re.escape(f"term 1*x has degree {degree}, not {wrong}")):
+        solve_with_coefficients(BD2, wrong, *BD2.eval_mono(x), ansatz=[(ONE, x)])
+
+
 def test_zero_element_needs_an_explicit_grading():
     with pytest.raises(ValueError):
         RingElement.from_terms(BD2, ())
@@ -282,6 +296,74 @@ def test_every_rule_application_produces_admissible_monomials(monkeypatch):
     assert {sp.name for sp, _ in produced} == {"Q_BD(q=2)", "Q_DD(q=3)", "Q22", "Gr222"}
     bad = [(sp.name, mono_str(m)) for sp, m in produced if not sp.is_admissible(m)]
     assert not bad, bad[:4]
+
+
+_TRUST_SPACES = (("Q_BD", 2), ("Q_DD", 3), ("Gr222", None), ("Q22", None), ("X1q", 3))
+
+
+def _admissible_factor(sp, rng):
+    """A monomial element, drawn as the rule-application test draws factors."""
+    letters = [n for n in sp.letter_order if not n.startswith("z")]
+    zetas = [n for n in sp.letter_order if n.startswith("z")]
+    while True:
+        exps = {n: rng.randint(-1, 1) for n in zetas}
+        for n in rng.choices(letters, k=rng.randint(1, 2)):
+            exps[n] = exps.get(n, 0) + 1
+        if sp.is_admissible(sp.mono(exps)):
+            return RingElement.from_mono(sp, sp.mono(exps))
+
+
+def _drawn_slot_element(sp, rng):
+    """A seeded combination of a sampled coset's dressed slots, built at the door."""
+    table = sp.coset_basis(rng.choice(engine._sample_keys(sp)))
+    grading = sp.mono_grading(rng.choice(table)) + sp.group.element(*rng.choice(SOLVE_SHIFTS))
+    terms = []
+    for template, mono in engine._dressed_slots(grading, *sp.coset_table(grading)):
+        b = rng.randint(-3, 3) if template.shape() == (0, 0, 0, 0) else 0
+        terms.append((template.scale(B(rng.randint(-3, 3), b)), mono))
+    return RingElement.from_terms(sp, terms, grading=grading)
+
+
+def test_the_engine_builds_only_what_the_door_would_accept():
+    # the plain constructor trusts products, solves and sums: each result
+    # passes from_terms unchanged and evaluates onto basis keys only
+    rng = random.Random(17)
+    results = []
+    for name, q in _TRUST_SPACES:
+        sp = load_presentation(name, q)
+        for _ in range(16):
+            try:
+                results.append(multiply(_admissible_factor(sp, rng), _admissible_factor(sp, rng)))
+            except (RuntimeError, UnsolvableError):
+                pass  # a step-bound trip or an unsolvable re-solve
+            drawn = _drawn_slot_element(sp, rng)
+            solved = solve_with_coefficients(sp, drawn.grading, *drawn.evaluate())[0]
+            results += [solved, solved + drawn, -solved]
+    assert {r.space.name for r in results if r.terms} == {
+        "Q_BD(q=2)", "Q_DD(q=3)", "Gr222", "Q22", "X1q(q=3)"}
+    for r in results:
+        assert RingElement.from_terms(r.space, r.sorted_terms(), grading=r.grading) == r
+        rho, fix = r.evaluate()
+        for cls in (rho, *fix.parts):
+            assert set(cls.coeffs) <= set(cls.ring.basis_keys()), (r.space.name, str(r))
+
+
+def test_integer_and_burnside_scalings_are_products():
+    # x^2 rewrites to -e^2*divq*x, and g*e = 0 kills the g-multiple
+    x2 = elt(BD2, x=2)
+    assert str(x2 * 3) == str(3 * x2) == "-3*e^2*divq*x"
+    assert (x2 * B(0, 1)).is_zero()
+    rng = random.Random(23)
+    for name, q in _TRUST_SPACES:
+        sp = load_presentation(name, q)
+        for _ in range(8):
+            u, a, b = _admissible_factor(sp, rng), rng.randint(-3, 3), rng.randint(-3, 3)
+            try:
+                expected = scalar_multiple(u, PointScalar.from_burnside(B(a, b)))
+            except (RuntimeError, UnsolvableError):
+                continue  # a step-bound trip or an unsolvable re-solve
+            assert u * B(a, b) == expected, (sp.name, str(u), a, b)
+            assert u * a == a * u == scalar_multiple(u, PointScalar.integer(a))
 
 
 def test_solve_recovers_the_complementary_section():
@@ -488,8 +570,9 @@ def test_a_repeated_slot_ansatz_raises_exactly_with_two_or_more_candidates(drawn
     x = BD2.mono(x=1)
     ansatz = [(PointScalar.integer(k), x) for k, _, _ in drawn]
     coeffs = [B(a, b) for _, a, b in drawn]
-    element = RingElement(BD2, BD2.mono_grading(x), [
-        (template.scale(c), x) for (template, _), c in zip(ansatz, coeffs)])
+    element = RingElement.from_terms(BD2, [
+        (template.scale(c), x) for (template, _), c in zip(ansatz, coeffs)],
+        grading=BD2.mono_grading(x))
     if len(drawn) > 1:
         with pytest.raises(AmbiguousSolveError, match="does not separate"):
             solve_with_coefficients(BD2, element.grading, *element.evaluate(), ansatz=ansatz)
@@ -698,7 +781,7 @@ def test_degree_checks_on_the_integer_path_still_fail_loudly():
                   degree + BD2.group.omega(BD2.group.labels[0])):
         with pytest.raises(ValueError, match=re.escape(
                 f"term 1*x has degree {degree}, not {wrong}")):
-            RingElement(BD2, wrong, ((one, x),))
+            RingElement.from_terms(BD2, ((one, x),), grading=wrong)
     # the dressing reads slot degrees only from a coset table or section
     # family, whose slots are checked against the coset key when built
     off = (degree + BD2.group.omega(BD2.group.labels[0])).coset_key()

@@ -271,7 +271,7 @@ def test_construction_multiplies_nothing():
 def test_a_class_on_a_key_outside_the_basis_is_rejected():
     ring = TruncatedRing.odd_quadric(2)
     with pytest.raises(ValueError, match=r"\(9, 9\) is not a basis monomial of Q5"):
-        NonequivClass(ring, {(9, 9): 1})
+        NonequivClass.monomial(ring, (9, 9))
 
 
 def test_the_window_ring_raises_past_its_last_power():

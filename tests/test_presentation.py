@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -109,7 +110,7 @@ def test_mono_constructor_and_printer():
     assert m == (("z00", -2), ("cw", 1), ("x", 1))
     assert mono_str(m) == "z00^-2*cw*x"
     assert mono_str(sp.mono()) == "1"
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=re.escape("'cl' is not a generator of Q_BD(q=2)")):
         sp.mono(cl=1)                       # not a letter of this space
 
 

@@ -42,6 +42,8 @@ class BurnsideScalar:
     def __mul__(self, other) -> "BurnsideScalar":
         if isinstance(other, int):
             return BurnsideScalar(self.a * other, self.b * other)
+        if not isinstance(other, BurnsideScalar):
+            return NotImplemented
         # (a1 + b1 g)(a2 + b2 g), g*g = 2g
         return BurnsideScalar(
             self.a * other.a,

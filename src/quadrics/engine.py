@@ -27,7 +27,10 @@ non-zero kernel is an AmbiguousSolveError.
 
 `verify_presentation` checks that the slots of every sampled coset table
 are a Z-basis of H*(X) under rho and of the fixed cohomology under fix
-(|det| = 1, from `_kernel`).  A Burnside coefficient a + b*g enters rho
+(|det| = 1, from `_kernel`).  The slot matrices are almost permutation
+matrices, so the check cuts each connected block of columns that share a
+(ring, basis key) row on its own; that is exact, since no cut leaves its
+block, and linear in q.  A Burnside coefficient a + b*g enters rho
 as a + 2b and the fixed side as a, and every other dressing has a
 non-zero multiplier on one side, so a solve on such a table has no kernel.
 
@@ -549,17 +552,53 @@ def _sample_keys(space: SpacePresentation):
     return keys
 
 
-def _is_basis(columns: list[tuple[NonequivClass, ...]]) -> bool:
-    """Whether the columns, each a class per ring, are linearly independent
-    and span a saturated lattice over the keys they touch: a zero kernel and
-    index 1 (|det| = 1 once there are as many keys as columns)."""
-    rows: dict[tuple[int, Key], list[int]] = {}
+def _blocks(columns: list[tuple[NonequivClass, ...]]) -> list[tuple[int, list[list[int]]]]:
+    """The connected blocks of the columns, each a class per ring, as
+    (ncols, rows): columns that share a (ring, basis key) row are in one
+    block, and each block keeps its own rows, in the whole matrix's row
+    order, restricted to its own columns."""
+    rows: dict[tuple[int, Key], dict[int, int]] = {}
     for j, classes in enumerate(columns):
         for ci, cls in enumerate(classes):
             for key, c in cls.coeffs.items():
-                rows.setdefault((ci, key), [0] * len(columns))[j] = c
-    basis, index = _kernel(list(rows.values()), len(columns))
-    return not basis and index == 1
+                rows.setdefault((ci, key), {})[j] = c
+    parent = list(range(len(columns)))
+
+    def root(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for row in rows.values():
+        first, *rest = row
+        for j in rest:
+            parent[root(j)] = root(first)
+    blocks: dict[int, tuple[list[int], list[dict[int, int]]]] = {}
+    for j in range(len(columns)):
+        blocks.setdefault(root(j), ([], []))[0].append(j)
+    for row in rows.values():
+        blocks[root(next(iter(row)))][1].append(row)
+    return [(len(cols), [[row.get(j, 0) for j in cols] for row in block_rows])
+            for cols, block_rows in blocks.values()]
+
+
+def _is_basis(columns: list[tuple[NonequivClass, ...]]) -> bool:
+    """Whether `_kernel` cuts the columns' matrix to a zero kernel with
+    index 1 (|det| = 1 once there are as many keys as columns), decided
+    block by block.
+
+    A row is non-zero only on the columns of its own block, and every cut
+    combines only the lattice vectors a row is non-zero on, so each vector
+    stays inside one block: the kernel is the direct sum of the blocks'
+    kernels, and the index is the product of the same g, row by row, as
+    the whole matrix's cut finds.  A zero column is a block of its own
+    with no rows, so it is its own kernel."""
+    for ncols, rows in _blocks(columns):
+        basis, index = _kernel(rows, ncols)
+        if basis or index != 1:
+            return False
+    return True
 
 
 def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]:
@@ -567,17 +606,16 @@ def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]
     "rho" of H*(X), "fixed" of the fixed components' cohomology.
 
     Either matrix must be square, and with a zero kernel its |det| is the
-    index _kernel reports.  rho(slot) is homogeneous of the slot's
-    underlying degree, so the rho matrix is block-diagonal by that degree
-    and each block is cut on its own.
+    index _kernel reports.  The slot matrices are almost permutation
+    matrices, with blocks of at most 4 columns on every sampled table, so
+    _is_basis cuts them block by block in time linear in the number of
+    slots; the rho matrix's blocks by underlying degree are unions of
+    those blocks.
     """
-    slots = space.coset_basis(key)
-    evals = [space.eval_mono(m) for m in slots]
-    blocks: dict[int, list[tuple[NonequivClass]]] = {}
-    for m, (rho, _) in zip(slots, evals):
-        blocks.setdefault(space.mono_grading(m).underlying_dim(), []).append((rho,))
-    rho_ok = len(slots) == space.underlying.rank() and all(map(_is_basis, blocks.values()))
-    fix_ok = (len(slots) == sum(ring.rank() for ring in space.fixed_rings)
+    evals = [space.eval_mono(m) for m in space.coset_basis(key)]
+    rho_ok = (len(evals) == space.underlying.rank()
+              and _is_basis([(rho,) for rho, _ in evals]))
+    fix_ok = (len(evals) == sum(ring.rank() for ring in space.fixed_rings)
               and _is_basis([fix.parts for _, fix in evals]))
     return [side for side, ok in (("rho", rho_ok), ("fixed", fix_ok)) if not ok]
 

@@ -49,7 +49,7 @@ from .scalars import PointScalar
 Mono = tuple[tuple[str, int], ...]
 Terms = tuple[tuple[PointScalar, Mono], ...]
 
-MAX_Q = 16
+MAX_Q = 1024
 
 _ONE = PointScalar.integer(1)
 _E2 = PointScalar.e_power(2)
@@ -159,28 +159,37 @@ class Relation:
         return f"Relation({self.name})"
 
 
-def _mono_of(order: tuple[str, ...], exps: Mapping[str, int], where="this presentation") -> Mono:
-    for name in exps:
-        if name not in order:
-            raise ValueError(f"{name!r} is not a generator of {where}")
+def _ordered(order: tuple[str, ...], exps: Mapping[str, int]) -> Mono:
+    """The monomial of known letters' exponents, in letter order; a name
+    outside `order` is not checked, and drops out."""
     return tuple((name, exps[name]) for name in order if exps.get(name, 0))
 
 
+def _mono_of(order: tuple[str, ...], exps: Mapping[str, int], where="this presentation") -> Mono:
+    """The monomial of declared or parsed exponents: an unknown letter raises."""
+    for name in exps:
+        if name not in order:
+            raise ValueError(f"{name!r} is not a generator of {where}")
+    return _ordered(order, exps)
+
+
 def mono_mul(a: Mono, b: Mono, order: tuple[str, ...]) -> Mono:
+    """The product of two monomials in the letters of `order`."""
     out = dict(a)
     for name, exp in b:
         out[name] = out.get(name, 0) + exp
-    return _mono_of(order, out)
+    return _ordered(order, out)
 
 
-def _lift(fibre: Mapping[str, tuple[str, ...]], order: tuple[str, ...],
-          slot: Mapping[str, int], extra: Mapping[str, int] | None = None) -> Mono:
-    """Lift a monomial over the fibre letters z0 z1 cw cxw divq, times `extra`."""
+def _lift(fibre: Mapping[str, tuple[str, ...]], slot: Mapping[str, int],
+          extra: Mapping[str, int] | None = None) -> dict[str, int]:
+    """The exponents of a monomial over the fibre letters z0 z1 cw cxw divq,
+    lifted to the space's letters, times `extra`."""
     out = dict(extra or {})
     for name, exp in slot.items():
         for own in fibre[name]:
             out[own] = out.get(own, 0) + exp
-    return _mono_of(order, out)
+    return out
 
 
 def mono_str(m: Mono) -> str:
@@ -238,7 +247,7 @@ class SpacePresentation:
                               *FixedTuple.unit(self.fixed_rings).parts)
         # _block's fibre data: a lifted z1's coset key, q, and whether divq lifts
         self._fibre_block = (
-            self.mono_grading(_lift(fibre, self.letter_order, {"z1": 1})).coset_key(),
+            self.mono_grading(self.mono(_lift(fibre, {"z1": 1}))).coset_key(),
             1 if q is None else q, all(own in self.letters for own in fibre["divq"]))
 
     def __repr__(self):
@@ -421,7 +430,7 @@ class SpacePresentation:
         k = key[-1] - base[-1]
         if key != tuple(b + k * s for b, s in zip(base, step)):
             raise AssertionError(f"incoherent coset key {key}")
-        return [_lift(self.fibre, self.letter_order, slot, prefix)
+        return [_ordered(self.letter_order, _lift(self.fibre, slot, prefix))
                 for slot in _x1q_slots(k, q, has_divq=has_divq)]
 
     # --- serialization ---
@@ -512,7 +521,7 @@ def _terms(order: tuple[str, ...], *pairs) -> Terms:
 def _fibre_rules(fibre: Mapping[str, tuple[str, ...]],
                  order: tuple[str, ...]) -> tuple[RewriteRule, RewriteRule]:
     """The bundle's twisted Euler and diagonal square reductions, lifted."""
-    lift = lambda exps: _lift(fibre, order, exps)
+    lift = lambda exps: _mono_of(order, _lift(fibre, exps))
     return (
         RewriteRule("twisted-euler-reduction", lift({"z1": 1, "cxw": 1}),
                     ((_UNIT_MINUS_KAPPA, lift({"z0": 1, "cw": 1})), (_E2, ()))),

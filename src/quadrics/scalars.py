@@ -174,6 +174,8 @@ class PointScalar:
         return PointScalar(-self.coeff, self.e, self.xi, self.tau, self.kneg)
 
     def __mul__(self, other: "PointScalar") -> "PointScalar":
+        if not isinstance(other, PointScalar):
+            return NotImplemented
         if not self or not other:
             return ZERO
         coeff = self.coeff * other.coeff

@@ -329,4 +329,4 @@ def test_module_entry_point_runs_the_cli():
 
 def test_unknown_space_is_an_argparse_error(capsys):
     assert invoke(capsys, "nf", "Q_XX", "--q", "1", "x")[0] == 2
-    assert invoke(capsys, "verify", "Q_BD", "--q", "77")[0] == 2
+    assert invoke(capsys, "verify", "Q_BD", "--q", "1025")[0] == 2

@@ -20,14 +20,13 @@ from quadrics.presentation import (
     FixedTuple, NoFiniteTableError, SpacePresentation, coset_basis,
     load_presentation, mono_mul, mono_str,
 )
-from quadrics.nonequiv import NonequivClass
+from quadrics.nonequiv import NonequivClass, TruncatedRing
 from quadrics.scalars import ONE, FragmentError, PointScalar, scalar_dressing
 
 B = BurnsideScalar
 BD2 = load_presentation("Q_BD", 2)
 
-# every space that load_presentation accepts at MAX_Q = 16, written out, and
-# that has coset tables (BU1 has none)
+# every space up to q = 16 that has coset tables (BU1 has none), written out
 TABLED = (
     [("Q22", None), ("Gr222", None)]
     + [("X1q", q) for q in range(17)]
@@ -766,12 +765,29 @@ def test_verify_reports_a_coset_slot_that_solves_to_an_earlier_candidate(monkeyp
     assert report["ok"] is False
 
 
-@pytest.mark.parametrize("q", (32, 64, 128))
+@pytest.mark.parametrize("q", (32, 128, 1024))
 @pytest.mark.parametrize("family", ("BD", "DD"))
 def test_large_quadrics_verify(family, q):
-    # past MAX_Q, built directly
-    report = verify_presentation(presentation._build_quadric(family, q))
+    report = verify_presentation(load_presentation(f"Q_{family}", q))
     assert report["ok"], report["failures"]
+
+
+@pytest.mark.parametrize("name, q", [("Q_BD", 1024), ("Q_DD", 1024),
+                                     ("Q22", None), ("Gr222", None)])
+def test_sampled_slot_matrices_split_into_blocks_of_at_most_four_columns(name, q):
+    # what keeps verify's spanning check linear in q
+    sp = load_presentation(name, q)
+    for key in engine._sample_keys(sp):
+        evals = [sp.eval_mono(m) for m in sp.coset_basis(key)]
+        for columns in ([(rho,) for rho, _ in evals], [fix.parts for _, fix in evals]):
+            assert max(ncols for ncols, _ in engine._blocks(columns)) <= 4, (key, columns)
+
+
+def test_scalars_multiply_elements_from_either_side():
+    u = elt(BD2, x=1)
+    assert B(2, 1) * u == u * B(2, 1) == scalar_multiple(u, PointScalar.from_burnside(B(2, 1)))
+    assert PointScalar.integer(2) * u == u * PointScalar.integer(2) == 2 * u == u * 2
+    assert str(B(2, 1) * u) == "(2+g)*x"
 
 
 def test_degree_checks_on_the_integer_path_still_fail_loudly():
@@ -901,3 +917,38 @@ def _assert_saturated_kernel(matrix, kernel):
     if kernel:
         smith = smith_normal_form(sympy.Matrix(kernel).T, domain=sympy.ZZ)
         assert all(smith[i, i] == 1 for i in range(len(kernel)))
+
+
+_RINGS = tuple(TruncatedRing.poly_window(8, f"w{i}") for i in range(2))
+
+
+@st.composite
+def sparse_columns(draw):
+    """Columns as (ring, key, value) entries over 2 rings of 8 keys: a few
+    entries each, from a small pool of keys, so columns often share rows."""
+    spots = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7)),
+                          min_size=1, max_size=8, unique=True))
+    entry = st.tuples(st.sampled_from(spots), st.integers(-3, 3).filter(bool))
+    columns = draw(st.lists(st.lists(entry, max_size=3, unique_by=lambda e: e[0]),
+                            min_size=1, max_size=8))
+    return [[(ci, k, c) for (ci, k), c in column] for column in columns]
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_columns())
+@example([[(0, 0, 1)], []])  # a zero column
+@example([[(0, 0, 1), (0, 1, 1)], [(0, 0, 1), (0, 1, -1)], [(1, 2, 1)]])  # det 2, then det 1
+@example([[(0, 0, 1)], [(0, 0, 2), (0, 1, 1)], [(0, 1, 3)]])  # 3 columns on 2 rows
+def test_blockwise_basis_check_matches_the_whole_matrix_cut(entries):
+    columns = [tuple(NonequivClass(ring, {(k,): c for ci, k, c in column if ci == i})
+                     for i, ring in enumerate(_RINGS)) for column in entries]
+    rows: dict = {}  # the whole matrix, its rows in the order _blocks meets them
+    for j, classes in enumerate(columns):
+        for ci, cls in enumerate(classes):
+            for key, c in cls.coeffs.items():
+                rows.setdefault((ci, key), [0] * len(columns))[j] = c
+    basis, index = engine._kernel(list(rows.values()), len(columns))
+    assert engine._is_basis(columns) == (not basis and index == 1)
+    if len(rows) == len(columns):  # square: a Z-basis exactly when |det| = 1
+        matrix = sympy.Matrix(list(rows.values()))
+        assert engine._is_basis(columns) == (abs(matrix.det()) == 1)

@@ -1,7 +1,7 @@
 """Standing answers: what a change that claims to keep every answer must keep.
 
 `data/golden_answers.json` holds, byte for byte, the `--json` output of
-`verify` on the 52 spaces that load at MAX_Q = 16 and of `lines27` for
+`verify` on the 52 spaces up to q = 16 and of `lines27` for
 both parities, the printed element, records and ambiguity flag of 256
 seeded coefficient solves drawn through the public API, and per space one
 sha256 over the printed coset tables and section families on a key grid.

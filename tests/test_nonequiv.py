@@ -78,7 +78,7 @@ def check_ring_axioms(ring):
                 raise AssertionError(f"{ring.name}: product not associative")
 
 
-# every space load_presentation accepts at MAX_Q = 16, written out
+# every space up to q = 16, written out
 LOADABLE = (
     [("BU1", None), ("Q22", None), ("Gr222", None)]
     + [("X1q", q) for q in range(17)]

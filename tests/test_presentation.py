@@ -24,7 +24,7 @@ ALL_SPACES = (
 )
 
 
-# every space load_presentation accepts at MAX_Q = 16, written out
+# every space up to q = 16, written out
 LOADABLE = (
     [("BU1", None), ("Q22", None), ("Gr222", None)]
     + [("X1q", q) for q in range(17)]
@@ -57,7 +57,7 @@ def test_catalogue_rejects_bad_requests():
     with pytest.raises(ValueError):
         load_presentation("Q22", 3)         # does not take a parameter q
     with pytest.raises(ValueError):
-        load_presentation("Q_BD", 99)       # beyond the supported range
+        load_presentation("Q_BD", 1025)     # beyond the supported range, MAX_Q = 1024
 
 
 def test_component_labels():
@@ -112,6 +112,14 @@ def test_mono_constructor_and_printer():
     assert mono_str(sp.mono()) == "1"
     with pytest.raises(ValueError, match=re.escape("'cl' is not a generator of Q_BD(q=2)")):
         sp.mono(cl=1)                       # not a letter of this space
+
+
+def test_letters_are_checked_where_monomials_come_in():
+    # products of known monomials go unchecked; declared and parsed ones are checked
+    for name, q in (("Q_BD", 2), ("Q22", None), ("Gr222", None)):
+        sp = load_presentation(name, q)
+        with pytest.raises(ValueError, match=re.escape(f"'bogus' is not a generator of {sp.name}")):
+            sp.mono(bogus=1)
 
 
 def test_negative_powers_need_a_license():

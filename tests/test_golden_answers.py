@@ -3,9 +3,12 @@
 `data/golden_answers.json` holds, byte for byte, the `--json` output of
 `verify` on the 52 spaces up to q = 16 and of `lines27` for
 both parities, the printed element, records and ambiguity flag of 256
-seeded coefficient solves drawn through the public API, and per space one
-sha256 over the printed coset tables and section families on a key grid.
-The q grid is written out, so raising MAX_Q changes none of it.
+seeded coefficient solves drawn through the public API, per space one
+sha256 over the printed coset tables and section families on a key grid,
+and under "text" the plain (non-`--json`) output of `lines27`, of `nf` on
+seeded expressions and of `solve` on a handful of cosets, exit codes and
+error messages included.  The q grid is written out, so raising MAX_Q
+changes none of it.
 
 Regenerate the file only from a commit whose answers are known good:
 
@@ -41,6 +44,22 @@ SHIFTS = ((0, 0), (0, 1), (0, 3), (0, -2), (0, -4), (2, -2), (-2, 2), (1, 0))
 SOLVE_SEED, SOLVE_COUNT = 2024, 256
 # coset keys per key width: [-7, 7] per component, [-4, 4] on Q22's three
 TABLE_KEYS = {1: range(-7, 8), 2: range(-7, 8), 3: range(-4, 5)}
+NF_SPACES = (("X1q", 3), ("Q_BD", 0), ("Q_BD", 2), ("Q_BD", 5), ("Q_DD", 3),
+             ("Q_DD", 4), ("Q22", None), ("Gr222", None))
+NF_SEED, NF_COUNT = 2025, 64
+SOLVE_ARGV = (
+    ["Q_BD", "--q", "2", "--coset", "0,-2", "--rho", "y", "--fix", "0;1;y"],
+    ["Q_BD", "--q", "2", "--coset", "0,-2", "--rho", "0", "--fix", "0;0;0",
+     "--degree", "4,2"],
+    ["Q_DD", "--q", "3", "--coset", "0,-2", "--rho", "0", "--fix", "1;3;c^2 + 2*y",
+     "--degree", "4,2"],
+    ["X1q", "--q", "3", "--coset", "0", "--rho", "7*c^3", "--fix", "0;3*c^2"],
+    ["Gr222", "--coset", "0,-2", "--rho=-c^2", "--fix", "3;1;4*x1*x2"],
+    ["Q22", "--coset=0,0,0", "--rho", "3*x1 - x2", "--fix", "0;2;1;3"],
+    ["Q22", "--coset=-2,-2,-2", "--rho", "1", "--fix", "0;1;1;1"],
+    ["Q22", "--coset=-1,1,0", "--rho", "x1", "--fix", "0;0;1;0"],
+    ["Q_BD", "--q", "3", "--coset", "0,0", "--rho", "2*y - c^3", "--fix", "0;1;y"],
+)
 
 
 def _cli_json(argv: list[str]) -> str:
@@ -52,6 +71,14 @@ def _cli_json(argv: list[str]) -> str:
 
 def _verify_argv(name: str, q: int | None) -> list[str]:
     return ["verify", name] + ([] if q is None else ["--q", str(q)])
+
+
+def _cli_text(argv: list[str]) -> str:
+    """The exit code, stdout and stderr of one plain command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
 
 
 def verify_answers() -> dict[str, str]:
@@ -105,6 +132,79 @@ def solve_answers() -> list[dict]:
             "ambiguous": ambiguous,
         })
     return answers
+
+
+def _dressed_text(degree: tuple[int, int], a: int, b: int) -> str | None:
+    """A point-ring scalar of the given RO(C2) degree in the surface syntax,
+    written out by hand so that the inputs do not depend on the printer."""
+    dressed = scalar_dressing(degree)
+    if dressed is None:
+        return None
+    template, domain = dressed
+    coeff = f"({a}{b:+d}*g)" if domain == "burnside" else f"({a})"
+    parts = [coeff]
+    if template.e:
+        parts.append(f"e^{template.e}")
+    if template.xi:
+        parts.append(f"xi^{template.xi}")
+    if template.tau:
+        parts.append(f"tau{2 * template.tau}")
+    if template.kneg:
+        parts.append(f"kappa*e^-{2 * template.kneg}")
+    return "*".join(parts)
+
+
+def _mono_text(mono) -> str:
+    return "*".join(f"{name}^{exp}" for name, exp in mono) or "1"
+
+
+def nf_expressions() -> list[list[str]]:
+    """Seeded nf command lines: dressed sums over one table, and products of
+    two dressed slots of two tables, which the rewriting reduces."""
+    rng = random.Random(NF_SEED)
+    per_space = []
+    for name, q in NF_SPACES:
+        space, tables = load_presentation(name, q), []
+        for key in itertools.product(range(-2, 3), repeat=len(space.group.labels) - 1):
+            try:
+                table = coset_basis(space, key)
+            except (ValueError, AssertionError):
+                continue
+            if table:
+                tables.append(table)
+        per_space.append((name, q, space, tables))
+
+    def coeff(shift):
+        return _dressed_text(shift, rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-3, 3))
+
+    argvs = []
+    while len(argvs) < NF_COUNT:
+        name, q, space, tables = rng.choice(per_space)
+        if len(argvs) % 2:
+            shifts = [rng.choice(SHIFTS[:6]) for _ in range(2)]
+            monos = [rng.choice(rng.choice(tables)) for _ in range(2)]
+            terms = [f"({coeff(shift)}*{_mono_text(mono)})"
+                     for shift, mono in zip(shifts, monos)]
+            expr = "*".join(terms)
+        else:
+            table = rng.choice(tables)
+            grading = (space.mono_grading(rng.choice(table))
+                       + space.group.element(*rng.choice(SHIFTS)))
+            terms = []
+            for mono in rng.sample(table, min(3, len(table))):
+                dressed = coeff((grading - space.mono_grading(mono)).to_ro_c2())
+                if dressed is not None:
+                    terms.append(f"{dressed}*{_mono_text(mono)}")
+            expr = " + ".join(terms)
+        if terms:
+            argvs.append(["nf", name] + ([] if q is None else ["--q", str(q)]) + [expr])
+    return argvs
+
+
+def text_answers() -> dict[str, str]:
+    argvs = ([["lines27", "--parity", parity] for parity in ("even", "odd")]
+             + nf_expressions() + [["solve", *argv] for argv in SOLVE_ARGV])
+    return {" ".join(argv): _cli_text(argv) for argv in argvs}
 
 
 def _printed_query(query, key) -> str:
@@ -161,10 +261,17 @@ def test_coset_tables_and_section_families_are_unchanged():
     assert table_answers() == golden
 
 
+def test_plain_text_outputs_are_unchanged():
+    golden = _golden()["text"]
+    assert len(golden) == 2 + NF_COUNT + len(SOLVE_ARGV)
+    assert text_answers() == golden
+
+
 def regenerate() -> None:
     DATA.parent.mkdir(exist_ok=True)
     data = {"verify": verify_answers(), "lines27": lines27_answers(),
-            "solve": solve_answers(), "tables": table_answers()}
+            "solve": solve_answers(), "tables": table_answers(),
+            "text": text_answers()}
     DATA.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 

@@ -8,6 +8,9 @@ count of the 27 lines on an invariant cubic surface.
 
 Layers, bottom up:
 
+* `printing` -- how a term prints: signed sums of scaled power
+  products, the one rule behind every printed class, degree, scalar
+  and element.
 * `burnside` / `scalars` -- the Burnside ring A(C2) and the fragment of
   the equivariant point ring the coset tables are dressed with.
 * `grading` -- the free grading group over {1, sigma, W_components}

@@ -16,6 +16,8 @@ and (1 - kappa)**2 == 1.
 
 from __future__ import annotations
 
+from .printing import scaled
+
 
 class UnsolvableError(ValueError):
     """Raised when an evaluation pair (r, f) admits no Burnside preimage."""
@@ -77,7 +79,7 @@ class BurnsideScalar:
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
-        g = "g" if self.b == 1 else ("-g" if self.b == -1 else f"{self.b}*g")
+        g = scaled(str(self.b), "g")
         if self.a == 0:
             return g
         return f"{self.a}{'+' if self.b > 0 else ''}{g}"

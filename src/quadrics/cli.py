@@ -366,8 +366,6 @@ def parse_nonequiv(text: str, ring: TruncatedRing,
         elif foreign:
             problem = (f"unknown variable {foreign[0]!r}; this ring has "
                        f"variables {list(ring.vars) or 'none'}")
-        elif any(exp < 0 for exp in exps.values()):
-            problem = "negative power in an evaluation target"
         else:
             raw = tuple(exps.get(var, 0) for var in ring.vars)
             total = total + NonequivClass.from_exponents(ring, raw, scalar.coeff.a)

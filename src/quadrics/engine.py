@@ -56,54 +56,27 @@ from .grading import GradingElement
 from .nonequiv import Key, NonequivClass
 from .presentation import (FixedTuple, Mono, NoFiniteTableError, SpacePresentation,
                            Terms, mono_mul, mono_str)
+from .printing import power_product, scaled, signed_sum
 from .scalars import (ONE, FragmentError, PointScalar, scalar_dressing)
 
 DEFAULT_STEP_BOUND = 10_000
 
 
-def _has_additive_op(text: str) -> bool:
-    """Whether a rendered scalar contains a top-level + or -.
-
-    Such a scalar must be parenthesized before a trailing *monomial or
-    the printed element would not re-parse to itself (signs following
-    '^', '*' or '(' are unary and harmless, as is anything already
-    inside parentheses).
-    """
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif i and depth == 0 and ch in "+-" and text[i - 1] not in "^*(":
-            return True
-    return False
-
-
 def render_terms(terms: Terms) -> str:
-    """Print scalar/monomial pairs in the surface syntax, in the given order."""
-    if not terms:
-        return "0"
-    chunks = []
+    """Print scalar/monomial pairs in the surface syntax, in the given order.
+
+    The only scalar that prints as a sum is a bare Burnside a + b*g with a
+    and b both non-zero (a scalar with an e, xi, tau or kappa part has an
+    integer coefficient), so that one alone is parenthesized before its
+    monomial, and the printed element re-parses to itself.
+    """
+    texts = []
     for scalar, mono in terms:
-        s, m = str(scalar), mono_str(mono)
-        if mono and _has_additive_op(s):
-            s = f"({s})"
-        if not mono:
-            text = s
-        elif s == "1":
-            text = m
-        elif s == "-1":
-            text = f"-{m}"
-        else:
-            text = f"{s}*{m}"
-        if chunks and not text.startswith("-"):
-            chunks.append(f" + {text}")
-        elif chunks:
-            chunks.append(f" - {text[1:]}")
-        else:
-            chunks.append(text)
-    return "".join(chunks)
+        coeff = str(scalar)
+        if mono and scalar.coeff.a and scalar.coeff.b:
+            coeff = f"({coeff})"
+        texts.append(scaled(coeff, power_product(mono)))
+    return signed_sum(texts)
 
 
 def _add_multiple(acc: dict[Key, int], n: int, cls: NonequivClass) -> None:

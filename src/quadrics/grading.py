@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from .printing import scaled, signed_sum
+
 
 class GradingGroup:
     __slots__ = ("labels",)
@@ -89,18 +91,11 @@ class GradingElement:
         return GradingElement(self.group, self.one - other.one, self.sigma - other.sigma,
                               tuple(a - b for a, b in zip(self.omega, other.omega)))
 
-    def __neg__(self) -> "GradingElement":
-        return GradingElement(self.group, -self.one, -self.sigma,
-                              tuple(-a for a in self.omega))
-
     def __mul__(self, n: int) -> "GradingElement":
         return GradingElement(self.group, n * self.one, n * self.sigma,
                               tuple(n * a for a in self.omega))
 
     __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self.one or self.sigma or any(self.omega))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradingElement) and self.group == other.group
@@ -137,29 +132,10 @@ class GradingElement:
     # --- rendering ---
 
     def __str__(self):
-        parts = []
-
-        def term(coeff, symbol):
-            if coeff == 0:
-                return
-            if symbol == "":
-                parts.append(f"{coeff:+d}")
-            elif coeff == 1:
-                parts.append(f"+{symbol}")
-            elif coeff == -1:
-                parts.append(f"-{symbol}")
-            else:
-                parts.append(f"{coeff:+d}{symbol}")
-
-        term(self.one, "")
-        term(self.sigma, "s")
-        for label, w in zip(self.group.labels, self.omega):
-            term(w, f"W{label}")
-        if not parts:
-            return "0"
-        head = parts[0]
-        head = head[1:] if head.startswith("+") else head
-        return " ".join([head] + [f"{p[0]} {p[1:]}" for p in parts[1:]])
+        coords = (self.one, self.sigma, *self.omega)
+        symbols = ("", "s", *(f"W{label}" for label in self.group.labels))
+        return signed_sum(scaled(str(n), symbol, sep="")
+                          for n, symbol in zip(coords, symbols) if n)
 
     def __repr__(self):
         return f"<{self}>"

@@ -26,6 +26,8 @@ from math import comb
 from operator import add
 from typing import Callable, Mapping
 
+from .printing import power_product, scaled, signed_sum
+
 Key = tuple[int, ...]
 Reduce = Callable[[Key], dict[Key, int]]
 
@@ -238,9 +240,6 @@ class NonequivClass:
         return (isinstance(other, NonequivClass) and self.ring is other.ring
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((id(self.ring), frozenset(self.coeffs.items())))
-
     # --- structure ---
 
     def homogeneous_degree(self) -> int | None:
@@ -254,30 +253,9 @@ class NonequivClass:
         return f"NonequivClass({self.ring.name}, {self!s})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for key in self.ring._order:
-            n = self.coeffs.get(key, 0)
-            if not n:
-                continue
-            factors = []
-            for var, exp in zip(self.ring.vars, key):
-                if exp == 1:
-                    factors.append(var)
-                elif exp > 1:
-                    factors.append(f"{var}^{exp}")
-            body = "*".join(factors)
-            if not body:
-                parts.append((n, str(abs(n))))
-            elif abs(n) == 1:
-                parts.append((n, body))
-            else:
-                parts.append((n, f"{abs(n)}*{body}"))
-        text = parts[0][1] if parts[0][0] > 0 else f"-{parts[0][1]}"
-        for n, body in parts[1:]:
-            text += f" + {body}" if n > 0 else f" - {body}"
-        return text
+        return signed_sum(
+            scaled(str(self.coeffs[key]), power_product(zip(self.ring.vars, key)))
+            for key in self.ring._order if key in self.coeffs)
 
 
 def _symmetric_reduction(poly: dict[Key, int]) -> dict[Key, int]:

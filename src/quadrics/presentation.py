@@ -44,6 +44,7 @@ from typing import Iterable, Mapping
 from .burnside import ONE_MINUS_KAPPA
 from .grading import GradingElement, GradingGroup
 from .nonequiv import NonequivClass, TruncatedRing
+from .printing import power_product
 from .scalars import PointScalar
 
 Mono = tuple[tuple[str, int], ...]
@@ -81,12 +82,6 @@ class FixedTuple:
     def __add__(self, other: "FixedTuple") -> "FixedTuple":
         return FixedTuple(a + b for a, b in zip(self.parts, other.parts))
 
-    def __sub__(self, other: "FixedTuple") -> "FixedTuple":
-        return FixedTuple(a - b for a, b in zip(self.parts, other.parts))
-
-    def __neg__(self) -> "FixedTuple":
-        return FixedTuple(-a for a in self.parts)
-
     def __mul__(self, other) -> "FixedTuple":
         if isinstance(other, int):
             return FixedTuple(a * other for a in self.parts)
@@ -99,9 +94,6 @@ class FixedTuple:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FixedTuple) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         return f"FixedTuple({self!s})"
@@ -193,12 +185,7 @@ def _lift(fibre: Mapping[str, tuple[str, ...]], slot: Mapping[str, int],
 
 
 def mono_str(m: Mono) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for name, exp in m:
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
+    return power_product(m) or "1"
 
 
 class SpacePresentation:
@@ -213,7 +200,7 @@ class SpacePresentation:
     )
 
     def __init__(self, name, family, q, group, underlying, fixed_rings,
-                 letters, letter_order, invertible=(), rules=(), relations=(),
+                 letters, invertible=(), rules=(), relations=(),
                  derived=None, units=(), lemma_ansatz=None,
                  fibre=_IDENTITY_FIBRE, pushforwards=None, pushforward_targets=None,
                  pushforward_ansatz=None, identifications=None,
@@ -225,7 +212,7 @@ class SpacePresentation:
         self.underlying = underlying
         self.fixed_rings = tuple(fixed_rings)
         self.letters = dict(letters)
-        self.letter_order = tuple(letter_order)
+        self.letter_order = tuple(self.letters)  # builders declare letters in print order
         self.invertible = frozenset(invertible)
         self.rules = tuple(rules)
         self.relations = tuple(relations)
@@ -557,7 +544,6 @@ def _build_bu1() -> SpacePresentation:
     und, f0, f1 = (TruncatedRing.poly_window(32, name)
                    for name in ("poly-window", "poly-window-0", "poly-window-1"))
     rings = (f0, f1)
-    order = ("z0", "z1", "cw", "cxw")
     c = _cls(und, 1)
     letters, zeta_merge = _zeta_letters(group, und, rings)
     # No divided classes: cw and cxw restrict to c, not 0, on components 0
@@ -566,6 +552,7 @@ def _build_bu1() -> SpacePresentation:
                            _point_profile(rings, _cls(f0, 1), 1))
     letters["cxw"] = Letter("cxw", group.element(2, omega={"0": 1}), c,
                             _point_profile(rings, 1, _cls(f1, 1)))
+    order = tuple(letters)
     t = lambda *pairs: _terms(order, *pairs)
     rules = (zeta_merge, *_fibre_rules(_IDENTITY_FIBRE, order))
     units = (
@@ -574,7 +561,7 @@ def _build_bu1() -> SpacePresentation:
     )
     derived = {"eps0": t((_K1, {"z0": 1, "cw": 1}))}
     return SpacePresentation(
-        "BU1", "BU1", None, group, und, rings, letters, order,
+        "BU1", "BU1", None, group, und, rings, letters,
         rules=rules, units=units, derived=derived)
 
 
@@ -583,7 +570,6 @@ def _build_x1q(q: int) -> SpacePresentation:
     und = TruncatedRing.truncated_poly(q + 1)
     rings = (TruncatedRing.point(),
              TruncatedRing.truncated_poly(q) if q >= 1 else TruncatedRing.zero())
-    order = ("z0", "z1", "cw", "cxw") if q >= 1 else ("z0", "z1")
     c = _cls(und, 1)
     letters, zeta_merge = _zeta_letters(group, und, rings)
     rules = [zeta_merge]
@@ -594,11 +580,12 @@ def _build_x1q(q: int) -> SpacePresentation:
             "cxw", group.element(2, omega={"0": 1}), c,
             _point_profile(rings, 1, _cls(rings[1], 1)),
             credits=("z1",) if q == 1 else ())
+        order = tuple(letters)
         rules += [RewriteRule("fibre-truncation",
                               _mono_of(order, {"cw": 1, "cxw": q}), ()),
                   *_fibre_rules(_IDENTITY_FIBRE, order)]
     return SpacePresentation(
-        f"X1q(q={q})", "X1q", q, group, und, rings, letters, order,
+        f"X1q(q={q})", "X1q", q, group, und, rings, letters,
         invertible=("z1",) if q == 0 else (), rules=rules)
 
 
@@ -616,9 +603,6 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
         mid = TruncatedRing.proj_line_square() if gr else TruncatedRing.even_quadric(q - 1)
         depth = q - 1
     rings = (TruncatedRing.point(), TruncatedRing.point(), mid)
-    order = ("z00", "z11", "z1", cw, cxw, "divq", "x", "xp")
-    if q == 0:
-        order = ("z00", "z11", "z1", cw, cxw, "x", "xp")
 
     omega_w = group.element(2, omega={"1": 1})
     chi = group.element(2, omega={"00": 1, "11": 1})
@@ -634,11 +618,11 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
     letters[cw] = Letter(cw, omega_w, c_u, _point_profile(rings, 0, 0, 1),
                          credits=("z00", "z11", "z1") if q == 0 else ("z00", "z11"))
     letters[cxw] = Letter(cxw, chi, c_u, _point_profile(rings, 1, 1, c_m))
-    letters["x"] = Letter("x", depth * chi + sigma2, y_u,
-                          _point_profile(rings, 0, 1, y_m), credits=("z00",))
     if q >= 1:
         letters["divq"] = Letter("divq", q * chi, cq_u,
                                  _point_profile(rings, 1, -1, 0), credits=("z1",))
+    letters["x"] = Letter("x", depth * chi + sigma2, y_u,
+                          _point_profile(rings, 0, 1, y_m), credits=("z00",))
     # xp is the invariant maximal section disjoint from x; in the model
     # Q^{2q} in P(C^{2q} + C^2 sigma) the invariant maximal sections are
     # the P(L + l).  The odd quadrics have the one ruling class y.  In the
@@ -654,6 +638,7 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
     letters["xp"] = Letter("xp", letters["x"].grading, xp_rho,
                            _point_profile(rings, 1, 0, xp_mid), credits=("z11",))
 
+    order = tuple(letters)
     t = lambda *pairs: _terms(order, *pairs)
     mono = lambda exps: _mono_of(order, exps)
     fibre = {"z0": ("z00", "z11"), "z1": ("z1",), "cw": (cw,), "cxw": (cxw,),
@@ -746,7 +731,7 @@ def _build_quadric(family: str, q: int) -> SpacePresentation:
 
     name = {"BD": f"Q_BD(q={q})", "DD": f"Q_DD(q={q})", "Gr": "Gr222"}[family]
     return SpacePresentation(
-        name, family, q, group, und, rings, letters, order,
+        name, family, q, group, und, rings, letters,
         invertible=("z1",) if q == 0 else (),
         rules=rules, relations=relations, units=units,
         lemma_ansatz=lemma_ansatz, fibre=fibre,
@@ -758,7 +743,6 @@ def _build_q22() -> SpacePresentation:
     und = TruncatedRing.proj_line_square()
     pt = TruncatedRing.point()
     rings = (pt, pt, pt, pt)
-    order = ("z00", "z11", "z01", "z10", "cw", "cxw", "x", "x0", "x1", "x2")
     x1_u, x2_u = _cls(und, 1, 0), _cls(und, 0, 1)
     c_u, y_u = x1_u + x2_u, x1_u
 
@@ -783,6 +767,7 @@ def _build_q22() -> SpacePresentation:
                      credits=("z00", "z10")),
     })
 
+    order = tuple(letters)
     t = lambda *pairs: _terms(order, *pairs)
     mono = lambda exps: _mono_of(order, exps)
     zeta0 = {"z00": 1, "z11": 1}
@@ -835,7 +820,7 @@ def _build_q22() -> SpacePresentation:
     }
 
     return SpacePresentation(
-        "Q22", "Q22", None, group, und, rings, letters, order,
+        "Q22", "Q22", None, group, und, rings, letters,
         rules=rules, pushforwards=pushforwards,
         pushforward_targets=pushforward_targets,
         pushforward_ansatz=pushforward_ansatz, identifications=identifications,

@@ -41,6 +41,7 @@ PointScalars is structural equality.
 from __future__ import annotations
 
 from .burnside import BurnsideScalar, KAPPA, ZERO as BZERO
+from .printing import power_product, scaled
 
 Degree = tuple[int, int]  # (coefficient of 1, coefficient of sigma) in RO(C2)
 
@@ -200,27 +201,12 @@ class PointScalar:
         return f"PointScalar({self!s})"
 
     def __str__(self):
-        parts = []
-        if self.e:
-            parts.append("e" if self.e == 1 else f"e^{self.e}")
-        if self.xi:
-            parts.append("xi" if self.xi == 1 else f"xi^{self.xi}")
+        powers = [("e", self.e), ("xi", self.xi)]
         if self.tau:
-            parts.append(f"tau{2 * self.tau}")  # tau2, tau4, ... = tau(iota^-2j)
+            powers.append((f"tau{2 * self.tau}", 1))  # tau2, tau4, ... = tau(iota^-2j)
         if self.kneg:
-            parts.append(f"e^-{2 * self.kneg}*kappa")
-        c = self.coeff
-        if not parts:
-            return str(c)
-        body = "*".join(parts)
-        if c == BurnsideScalar(1, 0):
-            return body
-        if c == BurnsideScalar(-1, 0):
-            return f"-{body}"
-        cs = str(c)
-        if c.b != 0 and c.a != 0:
-            cs = f"({cs})"
-        return f"{cs}*{body}"
+            powers += [("e", -2 * self.kneg), ("kappa", 1)]
+        return scaled(str(self.coeff), power_product(powers))
 
 
 ZERO = PointScalar(BZERO)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from quadrics.burnside import BurnsideScalar, G, KAPPA, ONE as B_ONE
+from quadrics.cli import parse
+from quadrics.engine import render_terms
 from quadrics.scalars import (
     FragmentError, PointScalar, ZERO, ONE, scalar_dressing,
 )
@@ -218,3 +220,25 @@ def test_left_distributivity_same_shape(u, v, w):
         assume(False)
         return
     assert lhs == rhs
+
+
+# --- printing -------------------------------------------------------------
+
+@given(scalars, scalars, scalars)
+def test_a_scalar_with_a_shape_has_an_integer_coefficient(u, v, w):
+    # render_terms parenthesizes a scalar only when its coefficient has both
+    # a 1-part and a g-part; that is a sum only on a bare Burnside scalar
+    uv = _try_mul(u, v)
+    for s in (u, v, w, uv, uv and _try_mul(uv, w)):
+        if s is not None and s.shape() != (0, 0, 0, 0):
+            assert s.coeff.b == 0, s
+
+
+@pytest.mark.parametrize("text", [
+    "(5+11*g)*x", "(-1+g)*x",  # a Burnside sum before a monomial
+    "-g*x", "2*g*x", "-e^2*x", "e^-2*kappa*x", "3*xi*x", "5+11*g",
+])
+def test_render_terms_parenthesizes_only_a_burnside_sum_before_a_monomial(text):
+    terms = parse(text).terms
+    assert len(terms) == 1
+    assert render_terms(terms) == text

@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .burnside import BurnsideScalar, UnsolvableError
@@ -120,13 +119,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# A parsed value is a list of terms; eneg holds e-exponent still owed
-# (from e^-k factors), resolved against a kappa once the term is complete.
-@dataclass
 class _Term:
-    scalar: PointScalar
-    eneg: int
-    mono: dict[str, int]
+    """One term of a parsed value (a list of terms).  eneg is the e-exponent
+    still owed from e^-k factors, resolved against a kappa once the term is
+    complete, and column is where the first of those factors stands."""
+
+    __slots__ = ("scalar", "eneg", "mono", "column")
+
+    def __init__(self, scalar: PointScalar, eneg: int, mono: dict[str, int],
+                 column: int = 0):
+        self.scalar = scalar
+        self.eneg = eneg
+        self.mono = mono
+        self.column = column
 
 
 def _term_mul(a: _Term, b: _Term, column: int) -> _Term:
@@ -137,7 +142,7 @@ def _term_mul(a: _Term, b: _Term, column: int) -> _Term:
     mono = dict(a.mono)
     for name, exp in b.mono.items():
         mono[name] = mono.get(name, 0) + exp
-    return _Term(scalar, a.eneg + b.eneg, mono)
+    return _Term(scalar, a.eneg + b.eneg, mono, a.column if a.eneg else b.column)
 
 
 def _value_mul(a: list[_Term], b: list[_Term], column: int) -> list[_Term]:
@@ -154,9 +159,10 @@ def _value_pow(value: list[_Term], exponent: int, column: int) -> list[_Term]:
     return out
 
 
-def _resolve_eneg(term: _Term, column: int) -> PointScalar:
-    """Fold owed negative e-powers into the scalar, spending a kappa."""
-    scalar, eneg = term.scalar, term.eneg
+def _resolve_eneg(term: _Term) -> PointScalar:
+    """Fold owed negative e-powers into the scalar, spending a kappa; an
+    error points at the term's first e^-k."""
+    scalar, eneg, column = term.scalar, term.eneg, term.column
     if not eneg or not scalar:
         return scalar
     total = scalar.e - eneg
@@ -216,12 +222,12 @@ class _Parser:
             negate = True
         value = self.term()
         if negate:
-            value = [_Term(-t.scalar, t.eneg, t.mono) for t in value]
+            value = [_Term(-t.scalar, t.eneg, t.mono, t.column) for t in value]
         while self.peek()[0] in ("+", "-"):
             op, _, _ = self.take()
             rhs = self.term()
             if op == "-":
-                rhs = [_Term(-t.scalar, t.eneg, t.mono) for t in rhs]
+                rhs = [_Term(-t.scalar, t.eneg, t.mono, t.column) for t in rhs]
             value = value + rhs
         return value
 
@@ -272,7 +278,7 @@ class _Parser:
             exp = 1 if exponent is None else exponent
             if exp >= 0:
                 return [_Term(PointScalar.e_power(exp) if exp else ONE, 0, {})]
-            return [_Term(ONE, -exp, {})]
+            return [_Term(ONE, -exp, {}, column)]
         scalar = None
         if name == "g":
             scalar = PointScalar.from_burnside(BurnsideScalar(0, 1))
@@ -342,7 +348,7 @@ def parse(text: str, q: int | None = None) -> Expression:
     raw = _Parser(text, q).parse()
     terms = []
     for term in raw:
-        scalar = _resolve_eneg(term, 1)
+        scalar = _resolve_eneg(term)
         if not scalar:
             continue
         mono = tuple((name, exp) for name, exp in term.mono.items() if exp)

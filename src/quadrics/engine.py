@@ -39,11 +39,14 @@ applications per product) and fails loudly rather than silently
 truncating.
 
 Values are checked once, where they come in: outside terms by
-`RingElement.from_terms`, an ansatz where a solve receives it.  The
-engine's own results trust their terms: a product keeps the letters that
-licensed its factors' negative powers, rules fire only onto admissible
-monomials and are homogeneous (verify's `rule:` checks), and table slots
-are checked when a table is built.
+`RingElement.from_terms`, an ansatz where a solve receives it, an outside
+monomial by `SpacePresentation.eval_mono`.  The engine's own results
+trust their terms: a product keeps the letters that licensed its factors'
+negative powers, rules fire only onto admissible monomials and are
+homogeneous (verify's `rule:` checks), and table slots are checked when a
+table is built.  So the engine evaluates through the trusted door,
+`SpacePresentation.eval_trusted`: an element's terms, a solve's
+candidates and verify's table slots skip the admissibility test.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .burnside import BurnsideScalar, UnsolvableError
 from .grading import GradingElement
 from .nonequiv import Key, NonequivClass
 from .presentation import (FixedTuple, Mono, NoFiniteTableError, SpacePresentation,
-                           Terms, mono_mul, mono_str)
+                           Terms, mono_mul)
 from .printing import power_product, scaled, signed_sum
 from .scalars import (ONE, FragmentError, PointScalar, scalar_dressing)
 
@@ -127,8 +130,8 @@ class RingElement:
             degree = space.mono_grading(mono) + space.group.element(*scalar.grading())
             grading = degree if grading is None else grading
             if scalar and degree != grading:
-                raise ValueError(f"term {scalar}*{mono_str(mono)} has degree {degree}, "
-                                 f"not {grading}")
+                raise ValueError(f"term {render_terms(((scalar, mono),))} has degree "
+                                 f"{degree}, not {grading}")
             _accumulate(clean, mono, scalar)
         return cls(space, grading, clean)
 
@@ -161,7 +164,7 @@ class RingElement:
             rho_acc: dict[Key, int] = {}
             fix_accs: list[dict[Key, int]] = [{} for _ in space.fixed_rings]
             for mono, scalar in self.terms.items():
-                rho, fix = space.eval_mono(mono)
+                rho, fix = space.eval_trusted(mono)
                 _add_multiple(rho_acc, scalar.rho_multiplier(), rho)
                 n = scalar.fix_multiplier()
                 for acc, part in zip(fix_accs, fix.parts):
@@ -422,7 +425,7 @@ def _equations(space: SpacePresentation, candidates: list[tuple[PointScalar, Mon
     for k, two in enumerate(burnside):
         unknowns += [(k, 1, 1), (k, 2, 0)] if two else [(k, 1, 1)]
     ncols = len(unknowns)
-    evals = [space.eval_mono(mono) for _, mono in candidates]
+    evals = [space.eval_trusted(mono) for _, mono in candidates]
     scales = [(t.rho_multiplier(), t.fix_multiplier()) for t, _ in candidates]
     table: dict[tuple[int, Key], list[int]] = {}
     for j, (k, w_rho, w_fix) in enumerate(unknowns):
@@ -585,7 +588,7 @@ def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]
     slots; the rho matrix's blocks by underlying degree are unions of
     those blocks.
     """
-    evals = [space.eval_mono(m) for m in space.coset_basis(key)]
+    evals = [space.eval_trusted(m) for m in space.coset_basis(key)]
     rho_ok = (len(evals) == space.underlying.rank()
               and _is_basis([(rho,) for rho, _ in evals]))
     fix_ok = (len(evals) == sum(ring.rank() for ring in space.fixed_rings)

@@ -33,8 +33,6 @@ restrict correctly along the two-step flag chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .burnside import BurnsideScalar
 from .engine import RingElement, normal_form, solve_with_coefficients
 from .grading import GradingElement
@@ -89,18 +87,31 @@ def _euler_targets(space: SpacePresentation, grading: GradingElement,
     return rho, FixedTuple(parts)
 
 
-@dataclass
 class LineCountResult:
-    """The refined line count and its geometric decomposition."""
+    """The refined line count and its geometric decomposition.
 
-    parity: str
-    alpha: BurnsideScalar        # Burnside-valued count: rho = 27, fix = 5
-    beta: int                    # coefficient of the e^2-dressed slot
-    free_pairs: int              # conjugate pairs of non-invariant lines
-    invariant_lines: int         # invariant lines counting with sign +1
-    fixed_line_component: str    # point component under the distinguished line
-    total: int                   # underlying count, read off the top class
-    element: RingElement         # the Euler class in the coset-table basis
+    alpha is the Burnside-valued count (rho = 27, fix = 5), beta the
+    coefficient of the e^2-dressed slot, free_pairs the conjugate pairs of
+    non-invariant lines, invariant_lines the invariant lines counting with
+    sign +1, fixed_line_component the point component under the
+    distinguished line, total the underlying count read off the top class,
+    and element the Euler class in the coset-table basis.
+    """
+
+    __slots__ = ("parity", "alpha", "beta", "free_pairs", "invariant_lines",
+                 "fixed_line_component", "total", "element")
+
+    def __init__(self, *, parity: str, alpha: BurnsideScalar, beta: int,
+                 free_pairs: int, invariant_lines: int, fixed_line_component: str,
+                 total: int, element: RingElement):
+        self.parity = parity
+        self.alpha = alpha
+        self.beta = beta
+        self.free_pairs = free_pairs
+        self.invariant_lines = invariant_lines
+        self.fixed_line_component = fixed_line_component
+        self.total = total
+        self.element = element
 
     def to_json(self) -> dict:
         return {

@@ -151,10 +151,18 @@ class Relation:
         return f"Relation({self.name})"
 
 
+# One tuple per (letter, exponent) pair: every monomial built here holds
+# these, so the monomials that tables and caches keep share their pairs.
+# Equal tuples are interchangeable, so sharing them across spaces changes
+# no result; the table grows with the distinct pairs only.
+_PAIRS: dict[tuple[str, int], tuple[str, int]] = {}
+
+
 def _ordered(order: tuple[str, ...], exps: Mapping[str, int]) -> Mono:
-    """The monomial of known letters' exponents, in letter order; a name
-    outside `order` is not checked, and drops out."""
-    return tuple((name, exps[name]) for name in order if exps.get(name, 0))
+    """The monomial of known letters' exponents, in letter order, built from
+    the shared pairs; a name outside `order` is not checked, and drops out."""
+    pairs = ((name, exps[name]) for name in order if exps.get(name, 0))
+    return tuple(_PAIRS.setdefault(pair, pair) for pair in pairs)
 
 
 def _mono_of(order: tuple[str, ...], exps: Mapping[str, int], where="this presentation") -> Mono:
@@ -195,8 +203,8 @@ class SpacePresentation:
         "derived", "units", "lemma_ansatz", "fibre",
         "pushforwards", "pushforward_targets", "pushforward_ansatz",
         "identifications", "annihilator_pair",
-        "_table_cache", "_eval_cache", "_grading_cache", "_powers", "_unit_classes",
-        "_fibre_block",
+        "_table_cache", "_eval_cache", "_powers", "_classes", "_products",
+        "_eval_values", "_unit_classes", "_fibre_block",
     )
 
     def __init__(self, name, family, q, group, underlying, fixed_rings,
@@ -225,13 +233,23 @@ class SpacePresentation:
         self.pushforward_ansatz = pushforward_ansatz
         self.identifications = dict(identifications or {})
         self.annihilator_pair = annihilator_pair
+        # coset key -> (slots, their flat (one, sigma) degrees); see coset_table
         self._table_cache = {}
+        # The evaluation caches (see eval_trusted).  Every class they hold is
+        # the one of its value in _classes, which keeps it as long as the
+        # space, so no other object can take its id: ids are sound keys.
+        # monomial -> its (rho, FixedTuple) pair
         self._eval_cache = {}
-        self._grading_cache = {}
         # (letter, exp) -> its power's rho, then its fixed parts; None marks a unit
         self._powers = {}
-        self._unit_classes = (NonequivClass.unit(underlying),
-                              *FixedTuple.unit(self.fixed_rings).parts)
+        # (ring, coefficients) -> the one class of that value
+        self._classes = {}
+        # (id(a), id(b)) -> a*b
+        self._products = {}
+        # (id(rho), *ids of the fixed parts) -> the one pair of those classes
+        self._eval_values = {}
+        self._unit_classes = tuple(map(self._shared, (
+            NonequivClass.unit(underlying), *FixedTuple.unit(self.fixed_rings).parts)))
         # _block's fibre data: a lifted z1's coset key, q, and whether divq lifts
         self._fibre_block = (
             self.mono_grading(self.mono(_lift(fibre, {"z1": 1}))).coset_key(),
@@ -250,14 +268,17 @@ class SpacePresentation:
         return _mono_of(self.letter_order, merged, self.name)
 
     def mono_grading(self, m: Mono) -> GradingElement:
-        g = self._grading_cache.get(m)
-        if g is None:
-            acc = [0] * (2 + len(self.group.labels))  # one, sigma, omega
-            for name, exp in m:
-                lg = self.letters[name].grading
-                acc = [a + exp * b for a, b in zip(acc, (lg.one, lg.sigma, *lg.omega))]
-            g = self._grading_cache[m] = GradingElement(self.group, *acc[:2], tuple(acc[2:]))
-        return g
+        """The sum of the letters' gradings, on int coordinates; letter
+        gradings are canonical (no last W), so the sum is too."""
+        one = sigma = 0
+        omega = [0] * len(self.group.labels)
+        for name, exp in m:
+            g = self.letters[name].grading
+            one += exp * g.one
+            sigma += exp * g.sigma
+            for i, w in enumerate(g.omega):
+                omega[i] += exp * w
+        return GradingElement(self.group, one, sigma, tuple(omega))
 
     def is_admissible(self, m: Mono) -> bool:
         """Negative powers must be invertible or licensed by a present letter."""
@@ -277,46 +298,73 @@ class SpacePresentation:
     # --- evaluation ---
 
     def eval_mono(self, m: Mono) -> tuple[NonequivClass, FixedTuple]:
-        """(rho, fixed parts) of a monomial: a product of cached letter powers.
+        """(rho, fixed parts) of a monomial from outside: an inadmissible one
+        is not a class, and raises ValueError; else see eval_trusted."""
+        if not self.is_admissible(m):
+            raise self._refuse(m, "not admissible, an unlicensed negative power")
+        return self.eval_trusted(m)
 
-        A unit power is marked None in the cache and skipped, and a ring
-        that no other factor reaches takes its unit, so nothing is ever
-        multiplied by 1.  An inadmissible monomial is not a class, and
-        raises ValueError.
+    def eval_trusted(self, m: Mono) -> tuple[NonequivClass, FixedTuple]:
+        """(rho, fixed parts) of a monomial the caller knows is admissible:
+        a table slot (coset_table checks them) or a term of an element.
+
+        It is the product of the letters' cached powers.  A unit power is
+        marked None and skipped, and a ring that no other factor reaches
+        takes its unit, so nothing is ever multiplied by 1.  Every class is
+        the one of its value (_shared), each product of two is made once
+        (_product), and monomials whose classes are the same objects share
+        one pair, so the caches hold references, not copies.
         """
         cached = self._eval_cache.get(m)
         if cached is not None:
             return cached
-        if not self.is_admissible(m):
-            raise self._refuse(m, "not admissible, an unlicensed negative power")
-        units = self._unit_classes
-        acc: list[NonequivClass | None] = [None] * len(units)
-        for name, exp in m:
-            letter = self.letters[name]
-            if exp >= 0:
-                power = self._powers.get((name, exp))
-                if power is None:
-                    power = self._powers[(name, exp)] = tuple(
-                        None if p == u else p for p, u in zip(
-                            (letter.rho ** exp, *(v ** exp for v in letter.fix.parts)),
-                            units))
-                for i, p in enumerate(power):
-                    if p is not None:
-                        acc[i] = p if acc[i] is None else acc[i] * p
-            else:
-                # Divided classes: only component letters go negative, and
-                # their restrictions are units or vanish outright.
-                if letter.rho != units[0]:
-                    raise self._refuse(m, f"{name} has no invertible underlying restriction")
-                for i, v in enumerate(letter.fix.parts, 1):
-                    if not v:
-                        acc[i] = v
-                    elif v != units[i]:
-                        raise self._refuse(m, f"{name} has a non-unit fixed restriction")
-        rho, *parts = (u if a is None else a for a, u in zip(acc, units))
-        result = (rho, FixedTuple(parts))
+        acc: list[NonequivClass | None] = [None] * len(self._unit_classes)
+        for pair in m:
+            power = self._powers.get(pair)
+            if power is None:
+                power = self._powers[pair] = self._power(m, *pair)
+            for i, p in enumerate(power):
+                if p is not None:
+                    acc[i] = p if acc[i] is None else self._product(acc[i], p)
+        rho, *parts = (u if a is None else a for a, u in zip(acc, self._unit_classes))
+        key = (id(rho), *map(id, parts))
+        result = self._eval_values.get(key)
+        if result is None:
+            result = self._eval_values[key] = (rho, FixedTuple(parts))
         self._eval_cache[m] = result
         return result
+
+    def _power(self, m: Mono, name: str, exp: int) -> tuple[NonequivClass | None, ...]:
+        """The restrictions of name^exp, shared, with None for a unit.
+
+        Only component letters go negative (divided classes), and their
+        restrictions must be units or vanish outright; the refusal names
+        the monomial `m` that asked for the power.
+        """
+        letter = self.letters[name]
+        units = self._unit_classes
+        classes = (letter.rho, *letter.fix.parts)
+        if exp >= 0:
+            classes = tuple(v ** exp for v in classes)
+        elif letter.rho != units[0]:
+            raise self._refuse(m, f"{name} has no invertible underlying restriction")
+        elif any(v and v != u for v, u in zip(letter.fix.parts, units[1:])):
+            raise self._refuse(m, f"{name} has a non-unit fixed restriction")
+        return tuple(None if v == u else self._shared(v) for v, u in zip(classes, units))
+
+    def _shared(self, cls: NonequivClass) -> NonequivClass:
+        """The one class of cls's value that the evaluation caches hold."""
+        return self._classes.setdefault((cls.ring, frozenset(cls.coeffs.items())), cls)
+
+    def _product(self, a: NonequivClass, b: NonequivClass) -> NonequivClass:
+        """a*b, made once per space, for classes a and b of _classes.  Their
+        ids are a sound key: _classes keeps both as long as the space, so
+        no other object can take those ids while this memo lives."""
+        key = (id(a), id(b))
+        product = self._products.get(key)
+        if product is None:
+            product = self._products[key] = self._shared(a * b)
+        return product
 
     # --- coset tables ---
 

@@ -72,6 +72,17 @@ def test_parse_errors_carry_columns():
         parse("x^-1")  # only component classes admit negative powers
 
 
+def test_a_negative_e_power_error_points_at_its_e(capsys):
+    text = "((3)*e^1*cxw^2)*((-2)*kappa*e^-4*z0^-2*cw^1*cxw^1)"
+    assert text.index("e^-4") + 1 == 29
+    assert run(["nf", "X1q", "--q", "3", text]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: negative e-powers must pair up evenly (column 29)\n")
+    # the term's first e^-k, not the first column of the expression
+    with pytest.raises(ParseError, match=r"needs a kappa factor in the same term \(column 5\)"):
+        parse("x - e^-2*e^-4*x")
+
+
 def test_to_element_validates_letters_and_admissibility():
     bd2 = load_presentation("Q_BD", 2)
     el = parse("x + e^2*divq").to_element(bd2)
@@ -325,6 +336,19 @@ def test_module_entry_point_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["total"] == 27
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # every worker pays for what `import quadrics` loads
+    src = str(Path(quadrics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quadrics; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_space_is_an_argparse_error(capsys):

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_decomp, smith_normal_form
 
-from quadrics import engine, presentation
+from quadrics import engine, parse, presentation
 from quadrics.burnside import BurnsideScalar, UnsolvableError
 from quadrics.engine import (
     AmbiguousSolveError, RingElement, annihilator_check, multiply, normal_form,
@@ -161,7 +161,7 @@ def test_outside_terms_and_ansatze_are_checked_where_they_come_in():
     x = BD2.mono(x=1)
     degree = BD2.mono_grading(x)
     wrong = degree + BD2.group.element(sigma=1)
-    with pytest.raises(ValueError, match=re.escape(f"term 1*x has degree {degree}, not {wrong}")):
+    with pytest.raises(ValueError, match=re.escape(f"term x has degree {degree}, not {wrong}")):
         solve_with_coefficients(BD2, wrong, *BD2.eval_mono(x), ansatz=[(ONE, x)])
 
 
@@ -719,15 +719,15 @@ def test_verify_reports_a_coset_slot_that_does_not_round_trip(monkeypatch):
     bd3 = presentation._build_quadric("BD", 3)
     slot = bd3.mono(z11=1, cw=1, cxw=1)
     assert slot in bd3.coset_basis((1, 0))
-    eval_mono = SpacePresentation.eval_mono
+    eval_trusted = SpacePresentation.eval_trusted
 
     def zeroed(self, m):
         if self is bd3 and m == slot:
             return (NonequivClass.zero(self.underlying),
                     FixedTuple(NonequivClass.zero(r) for r in self.fixed_rings))
-        return eval_mono(self, m)
+        return eval_trusted(self, m)
 
-    monkeypatch.setattr(SpacePresentation, "eval_mono", zeroed)
+    monkeypatch.setattr(SpacePresentation, "eval_trusted", zeroed)
     report = verify_presentation(bd3)
     assert report["checks"]["coset-tables"] is False
     assert report["failures"] == [
@@ -748,12 +748,12 @@ def test_verify_reports_a_coset_slot_that_solves_to_an_earlier_candidate(monkeyp
         (PointScalar.e_power(2), bd3.mono(z11=1))
     pair = earlier.evaluate()
     assert pair[0] or pair[1]
-    eval_mono = SpacePresentation.eval_mono
+    eval_trusted = SpacePresentation.eval_trusted
 
     def dependent(self, m):
-        return pair if self is bd3 and m == slot else eval_mono(self, m)
+        return pair if self is bd3 and m == slot else eval_trusted(self, m)
 
-    monkeypatch.setattr(SpacePresentation, "eval_mono", dependent)
+    monkeypatch.setattr(SpacePresentation, "eval_trusted", dependent)
     assert engine._singular_sides(bd3, (1, 0)) == ["rho", "fixed"]
     with pytest.raises(AmbiguousSolveError, match=re.escape(
             "does not separate e^2*z11, z00*z11^2*cw")):
@@ -796,13 +796,21 @@ def test_degree_checks_on_the_integer_path_still_fail_loudly():
     for wrong in (degree + BD2.group.element(sigma=1),
                   degree + BD2.group.omega(BD2.group.labels[0])):
         with pytest.raises(ValueError, match=re.escape(
-                f"term 1*x has degree {degree}, not {wrong}")):
+                f"term x has degree {degree}, not {wrong}")):
             RingElement.from_terms(BD2, ((one, x),), grading=wrong)
     # the dressing reads slot degrees only from a coset table or section
     # family, whose slots are checked against the coset key when built
     off = (degree + BD2.group.omega(BD2.group.labels[0])).coset_key()
     with pytest.raises(AssertionError, match=re.escape(f"slot x lands off-coset {off}")):
         BD2._graded_slots(off, [x])
+
+
+def test_an_off_degree_term_is_named_as_an_element_prints_it():
+    # a Burnside sum keeps its parentheses, so the term reads as one term
+    gr = load_presentation("Gr222")
+    with pytest.raises(ValueError, match=re.escape(
+            "term (2-3*g)*z1*x has degree 4s, not 4 + 2W00 + 2W11")):
+        parse("(1+g)*divq + (2-3*g)*z1*x").to_element(gr)
 
 
 def _fraction_gauss_jordan(rows, rhs, ncols):

@@ -330,6 +330,18 @@ def _naive_power(v, exp):
     return v
 
 
+def _naive_slot_pair(sp, m):
+    """(rho, fix) of a slot as the product of its letters' powers, units
+    included, on classes made afresh for this call."""
+    rho = NonequivClass.unit(sp.underlying)
+    fix = FixedTuple.unit(sp.fixed_rings)
+    for letter_name, exp in m:
+        letter = sp.letters[letter_name]
+        rho = rho * _naive_power(letter.rho, exp)
+        fix = fix * FixedTuple(_naive_power(v, exp) for v in letter.fix.parts)
+    return rho, fix
+
+
 def test_eval_mono_equals_the_naive_product_on_every_sampled_slot():
     # no unit factor is multiplied in, so compare with the product that
     # multiplies every letter power in, units included
@@ -339,13 +351,45 @@ def test_eval_mono_equals_the_naive_product_on_every_sampled_slot():
             continue  # no coset tables
         for key in engine._sample_keys(sp):
             for m in coset_basis(sp, key):
-                rho = NonequivClass.unit(sp.underlying)
-                fix = FixedTuple.unit(sp.fixed_rings)
-                for letter_name, exp in m:
-                    letter = sp.letters[letter_name]
-                    rho = rho * _naive_power(letter.rho, exp)
-                    fix = fix * FixedTuple(_naive_power(v, exp) for v in letter.fix.parts)
-                assert sp.eval_mono(m) == (rho, fix), (sp.name, mono_str(m))
+                assert sp.eval_mono(m) == _naive_slot_pair(sp, m), (sp.name, mono_str(m))
+
+
+def _class_value(cls):
+    return id(cls.ring), frozenset(cls.coeffs.items())
+
+
+EXCEPTIONAL = (("Q_BD", 16), ("Q_DD", 16), ("X1q", 16), ("Q22", None), ("Gr222", None))
+
+
+@pytest.mark.parametrize("name, q", EXCEPTIONAL)
+def test_equal_values_along_the_evaluation_path_are_one_object(name, q):
+    sp = load_presentation(name, q)
+    assert engine.verify_presentation(sp)["ok"]
+    # every cached class is the one object of its value, and so is the
+    # FixedTuple of every cached (rho, FixedTuple) pair
+    classes, fixes = {}, {}
+    for rho, fix in sp._eval_cache.values():
+        for cls in (rho, *fix.parts):
+            assert classes.setdefault(_class_value(cls), cls) is cls, (sp.name, str(cls))
+        value = tuple(map(_class_value, (rho, *fix.parts)))
+        assert fixes.setdefault(value, fix) is fix, (sp.name, str(fix))
+    # every (letter, exp) pair of every table slot is one tuple per value
+    letter_pairs = {}
+    for slots, _ in sp._table_cache.values():
+        for m in slots:
+            for pair in m:
+                assert letter_pairs.setdefault(pair, pair) is pair, (sp.name, pair)
+
+
+@pytest.mark.parametrize("name, q", EXCEPTIONAL + (("Q_BD", 1024), ("Q_DD", 1024)))
+def test_after_verify_every_sampled_slot_evaluates_to_its_naive_product(name, q):
+    # the shared products are made once per pair of operands; a memo key
+    # that aliased two operands would give some slot a wrong value here
+    sp = load_presentation(name, q)
+    assert engine.verify_presentation(sp)["ok"]
+    for key in engine._sample_keys(sp):
+        for m in coset_basis(sp, key):
+            assert sp.eval_mono(m) == _naive_slot_pair(sp, m), (sp.name, mono_str(m))
 
 
 def test_annihilator_pairs_are_declared_where_sections_split():

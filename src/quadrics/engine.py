@@ -14,25 +14,26 @@ target instead, is what turns the stated section/pushforward lemmas into
 machine checks: `verify_presentation` replays all of them.
 
 Solving is over the integers: a Burnside coefficient a + b*g is two
-integer unknowns, and one primitive, `_restrict`, cuts lattices: the
-identity by the homogenized equations (`_kernel`), then that by t = 1.
-The candidates are dressed on ints: a coset table carries its slots'
-(one, sigma) degrees, and a slot whose gap (a, b) to the target is off
-both lines a = 0 and a + b = 0, the only ones where the point ring has a
-class of infinite order, drops out before any scalar is built.  The
-equations come from one scatter pass over the candidates' evaluations, a
-row per (component, basis key), plus a zero row per key that only the
-target supports.  A solve is exact or raises: a solution lattice with a
-non-zero kernel is an AmbiguousSolveError.
+integer unknowns, and only a slot whose gap (a, b) to the target lies on
+a = 0 or a + b = 0 can carry one (`_lines`).  A table solve reads the
+target's coordinates in the table's dual basis, the integer inverses of
+its rho and fixed slot matrices (`_dual`), and solves each slot on its
+own (`_read_coordinates`); a unimodular change of basis keeps the integer
+and the rational solution sets, so the answers and the errors are the
+lattice's.  An ansatz, and a table whose dual does not build, go to the
+lattice: `_restrict` cuts the identity by the homogenized equations
+(`_kernel`), then by t = 1, and a non-zero kernel is an
+AmbiguousSolveError.
 
-`verify_presentation` checks that the slots of every sampled coset table
-are a Z-basis of H*(X) under rho and of the fixed cohomology under fix
-(|det| = 1, from `_kernel`).  The slot matrices are almost permutation
-matrices, so the check cuts each connected block of columns that share a
-(ring, basis key) row on its own; that is exact, since no cut leaves its
-block, and linear in q.  A Burnside coefficient a + b*g enters rho
-as a + 2b and the fixed side as a, and every other dressing has a
-non-zero multiplier on one side, so a solve on such a table has no kernel.
+The slot matrices are almost permutation matrices, so a dual is built
+block by block, in integers only.  Classes are homogeneous, so a solve
+reads only the blocks of its degree, each built once per space
+(`_dual_of`).  `verify_presentation` checks that every sampled table is a
+Z-basis under rho and under fix by building its whole duals with the
+same builder, and drops them; that is linear in q.  The dressing 1 enters
+rho as a + 2b and the fixed side as a, and every other one has a non-zero
+multiplier on one side, so such a table admits one rational solution at
+most.
 
 Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
 applications per product) and fails loudly rather than silently
@@ -51,6 +52,7 @@ candidates and verify's table slots skip the admissibility test.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -58,11 +60,15 @@ from .burnside import BurnsideScalar, UnsolvableError
 from .grading import GradingElement
 from .nonequiv import Key, NonequivClass
 from .presentation import (FixedTuple, Mono, NoFiniteTableError, SpacePresentation,
-                           Terms, mono_mul)
+                           Terms, mono_mul, mono_str)
 from .printing import power_product, scaled, signed_sum
 from .scalars import (ONE, FragmentError, PointScalar, scalar_dressing)
 
 DEFAULT_STEP_BOUND = 10_000
+
+# The integer dual basis of slot columns (_dual): per ring, per basis key
+# position, the (column, entry) pairs of the inverse's column, or None.
+Dual = tuple[tuple[tuple[tuple[int, int], ...] | None, ...], ...]
 
 
 def render_terms(terms: Terms) -> str:
@@ -238,7 +244,10 @@ def _fire(space: SpacePresentation, mono: Mono) -> list[tuple[PointScalar, Mono]
     return None
 
 
-def _rewrite(space: SpacePresentation, terms: Mapping[Mono, PointScalar]) -> dict[Mono, PointScalar]:
+def _rewrite(space: SpacePresentation, grading: GradingElement,
+             terms: Mapping[Mono, PointScalar]) -> dict[Mono, PointScalar]:
+    """The terms rewritten to a fixpoint; past DEFAULT_STEP_BOUND rule
+    applications a RuntimeError names the degree and the monomial."""
     steps = 0
     out: dict[Mono, PointScalar] = {}
     work = [(m, s) for m, s in terms.items()]
@@ -248,8 +257,9 @@ def _rewrite(space: SpacePresentation, terms: Mapping[Mono, PointScalar]) -> dic
             continue
         steps += 1
         if steps > DEFAULT_STEP_BOUND:
-            raise RuntimeError(f"rewriting exceeded DEFAULT_STEP_BOUND="
-                               f"{DEFAULT_STEP_BOUND} steps in {space.name}")
+            raise RuntimeError(f"rewriting exceeded DEFAULT_STEP_BOUND={DEFAULT_STEP_BOUND} "
+                               f"steps in degree {grading} of {space.name}, at "
+                               f"monomial {mono_str(mono)}")
         results = _fire(space, mono)
         if results is None:
             _accumulate(out, mono, scalar)
@@ -276,7 +286,7 @@ def multiply(u: RingElement, v: RingElement) -> RingElement:
         for m1, s1 in u.terms.items():
             for m2, s2 in v.terms.items():
                 _accumulate(terms, mono_mul(m1, m2, space.letter_order), s1 * s2)
-        element = RingElement(space, grading, _rewrite(space, terms))
+        element = RingElement(space, grading, _rewrite(space, grading, terms))
         if not element.terms:
             return element
         try:
@@ -311,6 +321,9 @@ def tau_transfer(u: RingElement, j: int = 1) -> RingElement:
 
 class AmbiguousSolveError(UnsolvableError):
     """The evaluation pair does not pin down the coefficients uniquely."""
+
+
+_INCONSISTENT = "evaluation targets are inconsistent with the basis"
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -348,7 +361,7 @@ def _restrict(x0: list[int], basis: list[list[int]], row: list[int],
     at = sum(map(mul, row, x0))
     if step is None:
         if at != target:
-            raise UnsolvableError("evaluation targets are inconsistent with the basis")
+            raise UnsolvableError(_INCONSISTENT)
         return x0, basis, 1
     shift, rest = divmod(target - at, g)
     if rest:
@@ -386,29 +399,147 @@ def _integer_solve(rows: list[list[int]], rhs: list[int],
     return x[:ncols], [vec[:ncols] for vec in basis]
 
 
-def _dressed_slots(grading: GradingElement, monos: tuple[Mono, ...],
-                   degrees: tuple[int, ...]) -> list[tuple[PointScalar, Mono]]:
-    """(template, slot) for each slot dressed to `grading`, in slot order.
+def _blocks(columns: list[tuple[NonequivClass, ...]]
+            ) -> list[tuple[list[int], list[tuple[int, Key]], list[list[int]]]]:
+    """The connected blocks of the columns, each a class per ring, as
+    (column indices, (ring, key) rows, the rows on those columns); a zero
+    column is a block with no rows."""
+    rows: dict[tuple[int, Key], dict[int, int]] = {}
+    for j, classes in enumerate(columns):
+        for ci, cls in enumerate(classes):
+            for key, c in cls.coeffs.items():
+                row = rows.get((ci, key))
+                if row is None:
+                    rows[ci, key] = {j: c}
+                else:
+                    row[j] = c
+    parent = list(range(len(columns)))
 
-    `monos` and their flat (one, sigma) `degrees` come from
-    SpacePresentation.coset_table or section_family, so the slots lie on
-    the grading's coset and the gap to it is the int pair (a, b).  The
-    template is the unique point-ring scalar of degree (a, b).  A slot off
-    both lines a = 0 and a + b = 0 has none and drops out on two int
-    tests; scalar_dressing is asked only on the lines, where an odd
-    negative sigma-degree or an odd xi or transfer degree still has none.
+    def root(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for row in rows.values():
+        if len(row) > 1:
+            first, *rest = row
+            for j in rest:
+                parent[root(j)] = root(first)
+    blocks: dict[int, tuple[list[int], list[tuple[int, Key]]]] = {}
+    for j in range(len(columns)):
+        r = root(j)
+        block = blocks.get(r)
+        if block is None:
+            blocks[r] = ([j], [])
+        else:
+            block[0].append(j)
+    for key, row in rows.items():
+        blocks[root(next(iter(row)))][1].append(key)
+    return [(cols, keys, [[rows[key].get(j, 0) for j in cols] for key in keys])
+            for cols, keys in blocks.values()]
+
+
+def _unimodular_inverse(rows: list[list[int]]) -> list[list[int]] | None:
+    """The integer inverse of a square matrix with |det| = 1, or None:
+    Gauss-Jordan by extended-gcd row steps (as in _restrict), which leave
+    each column's gcd on the diagonal, so |det| = 1 exactly when every
+    pivot is +-1."""
+    k = len(rows)
+    work = [[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(rows)]
+    for c in range(k):
+        pivot = work[c]
+        for r in range(c + 1, k):
+            value, other = work[r][c], work[r]
+            if value:
+                d, s, t = _xgcd(pivot[c], value)
+                u, w = value // d, pivot[c] // d
+                pivot, work[r] = ([s * p + t * v for p, v in zip(pivot, other)],
+                                  [u * p - w * v for p, v in zip(pivot, other)])
+        if pivot[c] not in (1, -1):
+            return None
+        work[c] = pivot = pivot if pivot[c] == 1 else [-p for p in pivot]
+        for r in range(k):
+            factor = work[r][c]
+            if r != c and factor:
+                work[r] = [v - factor * p for v, p in zip(work[r], pivot)]
+    return [row[k:] for row in work]
+
+
+def _dual(columns: list[tuple[NonequivClass, ...]]) -> Dual | None:
+    """The inverse of the columns' matrix, or None when it is not square,
+    has a zero column, or has |det| != 1.  Per ring, a tuple holds at each
+    basis key's position (TruncatedRing.positions) that row's column of
+    the inverse as (column, entry) pairs, or None.  Built block by block
+    (_blocks): a 1x1 block must be +-1, a larger one goes through
+    _unimodular_inverse.
+    """
+    rings = [cls.ring for cls in columns[0]] if columns else []
+    positions = [ring.positions() for ring in rings]
+    dual = [[None] * ring.rank() for ring in rings]
+    for cols, keys, rows in _blocks(columns):
+        if len(keys) != len(cols):
+            return None  # a zero column, or a block that is not square
+        if len(cols) == 1:
+            (ci, key), value = keys[0], rows[0][0]
+            if value not in (1, -1):
+                return None
+            dual[ci][positions[ci][key]] = ((cols[0], value),)
+            continue
+        inverse = _unimodular_inverse(rows)
+        if inverse is None:
+            return None
+        for i, (ci, key) in enumerate(keys):
+            dual[ci][positions[ci][key]] = tuple(
+                (j, row[i]) for j, row in zip(cols, inverse) if row[i])
+    return tuple(map(tuple, dual))
+
+
+def _dual_of(space: SpacePresentation, side: int, slots: list[Mono]) -> Dual | None:
+    """_dual of the slots' columns on one side, 0 their rho classes and 1
+    their fixed parts (FixedTuples), made once per space for slots whose
+    evaluations there are the same objects: _classes and _eval_values keep
+    those as long as the space, and the entry its own, so their ids are a
+    sound key and no slot meets a stale dual.  Equal rows, and equal rows
+    of a ring, are one object."""
+    values = [space.eval_trusted(m)[side] for m in slots]
+    key = tuple(map(id, values))
+    entry = space._duals.get(key)
+    if entry is None:
+        dual = _dual([v.parts if side else (v,) for v in values])
+        if dual is not None:
+            part = space._dual_parts.setdefault
+            rings = (tuple(row and part(row, row) for row in rows) for rows in dual)
+            dual = tuple(part(rows, rows) for rows in rings)
+        entry = space._duals[key] = (values, dual)
+    return entry[1]
+
+
+def _lines(grading: GradingElement, monos: tuple[Mono, ...],
+           degrees: tuple[int, ...]) -> list[tuple[Mono, int, int, PointScalar | None]]:
+    """(slot, a, b, template) per slot whose gap (a, b) to `grading` lies on
+    a = 0 or a + b = 0, the only lines where the point ring has a class of
+    infinite order, in slot order; the template is scalar_dressing's, or
+    None.  `monos` and their flat (one, sigma) `degrees` come from
+    coset_table or section_family, so the gap is an int pair, and a slot
+    off the lines drops out on two int tests.
     """
     one, sigma = grading.one, grading.sigma
     out = []
     pairs = iter(degrees)
     for mono, slot_one, slot_sigma in zip(monos, pairs, pairs):
         a, b = one - slot_one, sigma - slot_sigma
-        if a and a + b:
-            continue
-        dressed = scalar_dressing((a, b))
-        if dressed is not None:
-            out.append((dressed[0], mono))
+        if not a or not a + b:
+            dressed = scalar_dressing((a, b))
+            out.append((mono, a, b, dressed and dressed[0]))
     return out
+
+
+def _dressed_slots(grading: GradingElement, monos: tuple[Mono, ...],
+                   degrees: tuple[int, ...]) -> list[tuple[PointScalar, Mono]]:
+    """(template, slot) per slot dressed to `grading` (see _lines)."""
+    return [(template, mono) for mono, _, _, template in _lines(grading, monos, degrees)
+            if template is not None]
 
 
 def _equations(space: SpacePresentation, candidates: list[tuple[PointScalar, Mono]]):
@@ -441,45 +572,84 @@ def _equations(space: SpacePresentation, candidates: list[tuple[PointScalar, Mon
     return burnside, unknowns, table
 
 
-def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
-                            rho_target: NonequivClass, fix_target: FixedTuple,
-                            ansatz: Iterable[tuple[PointScalar, Mono]] | None = None):
-    """Solve (rho_target, fix_target) = sum_i c_i * template_i * mono_i over Z.
+def _coordinates(dual: Dual, classes: Iterable[NonequivClass], n: int) -> list[int] | None:
+    """A target's coordinates on n columns, from their dual; None when a
+    key of the target is off the columns' span."""
+    if not dual:  # no columns
+        return None if any(classes) else []
+    out = [0] * n
+    for cls, rows in zip(classes, dual):
+        positions = cls.ring.positions()
+        for key, c in cls.coeffs.items():
+            entries = rows[positions[key]]
+            if entries is None:
+                return None
+            for i, d in entries:
+                out[i] += d * c
+    return out
 
-    Without an ansatz the candidates are the coset-table slots of `grading`,
-    each dressed with the unique point-ring scalar filling the degree gap
-    (slots whose gap supports nothing drop out; see _dressed_slots).  An
-    ansatz comes from outside and passes RingElement.from_terms first.  A
-    coefficient is a + b*g in the Burnside ring, two integer unknowns,
-    where the template is a plain Burnside scalar, and an integer
-    otherwise.  The equations are the rows of _equations, then a zero row
-    per key that only the target supports, which makes the system
-    inconsistent; their order does not matter.  Returns (element, records,
-    ambiguous) with one (template, mono, coefficient) record per candidate,
-    zeros included.
 
-    The solution must be unique: a non-zero kernel raises
-    AmbiguousSolveError, naming the candidates it leaves free.  A table
-    whose slots are a Z-basis on both sides (verify's coset-tables check)
-    has none, so only an ansatz can.  The flag is always False, and stays
-    for callers that unpack it.
+def _read_coordinates(space: SpacePresentation,
+                      lines: list[tuple[Mono, int, int, PointScalar | None]],
+                      rho_target: NonequivClass,
+                      fix_target: FixedTuple) -> list[BurnsideScalar | int] | None:
+    """The coefficients of the dressed slots of `lines` (see _lines), read
+    off the target's coordinates y on the rho columns and z on the fixed
+    columns; None when a dual does not build.
 
-    A slot whose gap is the degree of a 2-torsion class e^k*xi^j (k, j >= 1)
-    has no candidate at all: the class evaluates to 0 under both maps, so
-    no solve can see a term on it, and re-solving an element that carries
-    one drops that term without a word.
+    Classes are homogeneous, so only the slots of the target's degree
+    count, a + b = 0 on the rho side and a = 0 on the fixed side; their
+    columns are whole blocks, and a target key off them is off the span.
+    The template 1 has rho and fix multipliers 1, so a + b*g gives a = z
+    and b = (y - z)/2; every other template has one zero multiplier, and
+    its slot lies on one side only, so c takes one division; an undressed
+    slot needs y = z = 0.  As on the lattice, a failed zero condition (no
+    rational solution) is reported before a remainder, which names the
+    least denominator.
     """
-    if ansatz is None:
-        candidates = _dressed_slots(grading, *space.coset_table(grading))
-    else:
-        candidates = list(ansatz)
-        RingElement.from_terms(space, candidates, grading)  # outside data: the door checks it
-    burnside, unknowns, table = _equations(space, candidates)
-    if not unknowns:
-        if rho_target or fix_target:
-            raise UnsolvableError(f"nothing lives in degree {grading} of {space.name}")
-        return RingElement.zero(space, grading), (), False
+    rho_slots = [mono for mono, a, b, _ in lines if not a + b]
+    fix_slots = [mono for mono, a, _, _ in lines if not a]
+    rho_dual, fix_dual = _dual_of(space, 0, rho_slots), _dual_of(space, 1, fix_slots)
+    if rho_dual is None or fix_dual is None:
+        return None
+    y = _coordinates(rho_dual, (rho_target,), len(rho_slots))
+    z = _coordinates(fix_dual, fix_target.parts, len(fix_slots))
+    if y is None or z is None:
+        raise UnsolvableError(_INCONSISTENT)
+    ys, zs = iter(y), iter(z)
+    quotients, burnside, inconsistent = [], [], False
+    for _, a, b, template in lines:
+        yi = 0 if a + b else next(ys)
+        zi = 0 if a else next(zs)
+        if template is None:
+            inconsistent = inconsistent or yi or zi
+            continue
+        r, f = template.rho_multiplier(), template.fix_multiplier()
+        burnside.append(r and f)
+        if r and f:
+            quotients += ((zi, 1), (yi - zi, 2))
+        else:
+            quotients.append((yi, r) if r else (zi, f))
+    if inconsistent:
+        raise UnsolvableError(_INCONSISTENT)
+    if any(n % d for n, d in quotients):
+        denominator = 1
+        for n, d in quotients:
+            denominator = lcm(denominator, d // gcd(n, d))
+        raise UnsolvableError(f"no integer point: 1 is not a multiple of {denominator}")
+    values = iter([n // d for n, d in quotients])
+    return [BurnsideScalar(next(values), next(values)) if two else next(values)
+            for two in burnside]
 
+
+def _lattice_coefficients(space: SpacePresentation, grading: GradingElement,
+                          candidates: list[tuple[PointScalar, Mono]],
+                          rho_target: NonequivClass,
+                          fix_target: FixedTuple) -> list[BurnsideScalar | int]:
+    """The candidates' coefficients from the integer solve of _equations'
+    rows, plus a zero row per key that only the target supports; a
+    non-zero kernel raises AmbiguousSolveError, naming the free candidates."""
+    burnside, unknowns, table = _equations(space, candidates)
     ncols = len(unknowns)
     targets = (rho_target, *fix_target.parts)
     for ci, target in enumerate(targets):
@@ -488,12 +658,7 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
                 table[ci, key] = [0] * ncols
     rows = list(table.values())
     rhs = [targets[ci].coeffs.get(key, 0) for ci, key in table]
-
-    try:
-        x, basis = _integer_solve(rows, rhs, ncols)
-    except UnsolvableError as err:  # re-raised as is, so its context stays
-        err.args = (f"{err} in degree {grading} of {space.name}",)
-        raise
+    x, basis = _integer_solve(rows, rhs, ncols)
     if basis:
         free = dict.fromkeys(render_terms((candidates[unknowns[j][0]],))
                              for vec in basis for j, v in enumerate(vec) if v)
@@ -501,9 +666,62 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
             f"underdetermined solve in degree {grading} of {space.name}: the "
             f"evaluation pair does not separate {', '.join(free)}")
     values = iter(x)
-    records = tuple(
-        (template, mono, BurnsideScalar(next(values), next(values)) if two else next(values))
-        for (template, mono), two in zip(candidates, burnside))
+    return [BurnsideScalar(next(values), next(values)) if two else next(values)
+            for two in burnside]
+
+
+def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
+                            rho_target: NonequivClass, fix_target: FixedTuple,
+                            ansatz: Iterable[tuple[PointScalar, Mono]] | None = None):
+    """Solve (rho_target, fix_target) = sum_i c_i * template_i * mono_i over Z.
+
+    Without an ansatz the candidates are the coset-table slots of `grading`,
+    each dressed with the unique point-ring scalar filling the degree gap
+    (slots whose gap supports nothing drop out; see _lines).  An
+    ansatz comes from outside and passes RingElement.from_terms first.  A
+    coefficient is a + b*g in the Burnside ring, two integer unknowns,
+    where the template is a plain Burnside scalar, and an integer
+    otherwise.  Returns (element, records, ambiguous) with one (template,
+    mono, coefficient) record per candidate, in candidate order, zeros
+    included; the flag is always False, and stays for callers that unpack
+    it.
+
+    A table solve reads coordinates (_read_coordinates) when the duals of
+    its degree build, as on every table verify samples; an ansatz, and a
+    table whose duals do not build, go to the lattice
+    (_lattice_coefficients), where a non-zero kernel raises
+    AmbiguousSolveError.  Both give the same answer, or the same error.
+
+    A slot whose gap is the degree of a 2-torsion class e^k*xi^j (k, j >= 1)
+    has no candidate at all: the class evaluates to 0 under both maps, so
+    no solve can see a term on it, and re-solving an element that carries
+    one drops that term without a word.
+    """
+    if ansatz is None:
+        lines = _lines(grading, *space.coset_table(grading))
+        candidates = [(template, mono) for mono, _, _, template in lines
+                      if template is not None]
+    else:
+        candidates = list(ansatz)
+        RingElement.from_terms(space, candidates, grading)  # outside data: the door checks it
+    if not candidates:
+        if rho_target or fix_target:
+            raise UnsolvableError(f"nothing lives in degree {grading} of {space.name}")
+        return RingElement.zero(space, grading), (), False
+
+    try:
+        coefficients = None if ansatz is not None else _read_coordinates(
+            space, lines, rho_target, fix_target)
+        if coefficients is None:
+            coefficients = _lattice_coefficients(space, grading, candidates,
+                                                 rho_target, fix_target)
+    except AmbiguousSolveError:
+        raise
+    except UnsolvableError as err:  # re-raised as is, so its context stays
+        err.args = (f"{err} in degree {grading} of {space.name}",)
+        raise
+    records = tuple((template, mono, coeff)
+                    for (template, mono), coeff in zip(candidates, coefficients))
     terms: dict[Mono, PointScalar] = {}
     for template, mono, coeff in records:
         _accumulate(terms, mono, template.scale(coeff))
@@ -528,71 +746,20 @@ def _sample_keys(space: SpacePresentation):
     return keys
 
 
-def _blocks(columns: list[tuple[NonequivClass, ...]]) -> list[tuple[int, list[list[int]]]]:
-    """The connected blocks of the columns, each a class per ring, as
-    (ncols, rows): columns that share a (ring, basis key) row are in one
-    block, and each block keeps its own rows, in the whole matrix's row
-    order, restricted to its own columns."""
-    rows: dict[tuple[int, Key], dict[int, int]] = {}
-    for j, classes in enumerate(columns):
-        for ci, cls in enumerate(classes):
-            for key, c in cls.coeffs.items():
-                rows.setdefault((ci, key), {})[j] = c
-    parent = list(range(len(columns)))
-
-    def root(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    for row in rows.values():
-        first, *rest = row
-        for j in rest:
-            parent[root(j)] = root(first)
-    blocks: dict[int, tuple[list[int], list[dict[int, int]]]] = {}
-    for j in range(len(columns)):
-        blocks.setdefault(root(j), ([], []))[0].append(j)
-    for row in rows.values():
-        blocks[root(next(iter(row)))][1].append(row)
-    return [(len(cols), [[row.get(j, 0) for j in cols] for row in block_rows])
-            for cols, block_rows in blocks.values()]
-
-
-def _is_basis(columns: list[tuple[NonequivClass, ...]]) -> bool:
-    """Whether `_kernel` cuts the columns' matrix to a zero kernel with
-    index 1 (|det| = 1 once there are as many keys as columns), decided
-    block by block.
-
-    A row is non-zero only on the columns of its own block, and every cut
-    combines only the lattice vectors a row is non-zero on, so each vector
-    stays inside one block: the kernel is the direct sum of the blocks'
-    kernels, and the index is the product of the same g, row by row, as
-    the whole matrix's cut finds.  A zero column is a block of its own
-    with no rows, so it is its own kernel."""
-    for ncols, rows in _blocks(columns):
-        basis, index = _kernel(rows, ncols)
-        if basis or index != 1:
-            return False
-    return True
-
-
 def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]:
     """The sides on which a coset table's undressed slots are not a Z-basis:
     "rho" of H*(X), "fixed" of the fixed components' cohomology.
 
-    Either matrix must be square, and with a zero kernel its |det| is the
-    index _kernel reports.  The slot matrices are almost permutation
-    matrices, with blocks of at most 4 columns on every sampled table, so
-    _is_basis cuts them block by block in time linear in the number of
-    slots; the rho matrix's blocks by underlying degree are unions of
-    those blocks.
+    A side is a basis when it has as many slots as its rings' rank and its
+    dual builds (_dual), the builder a table solve reads; the duals are
+    dropped here.  The slot matrices have blocks of at most 4 columns on
+    every sampled table, so this is linear in the number of slots.
     """
     evals = [space.eval_trusted(m) for m in space.coset_basis(key)]
     rho_ok = (len(evals) == space.underlying.rank()
-              and _is_basis([(rho,) for rho, _ in evals]))
+              and _dual([(rho,) for rho, _ in evals]) is not None)
     fix_ok = (len(evals) == sum(ring.rank() for ring in space.fixed_rings)
-              and _is_basis([fix.parts for _, fix in evals]))
+              and _dual([fix.parts for _, fix in evals]) is not None)
     return [side for side, ok in (("rho", rho_ok), ("fixed", fix_ok)) if not ok]
 
 
@@ -678,7 +845,7 @@ def verify_presentation(space: SpacePresentation) -> dict:
     if space.family != "BU1":
         bad = [f"{side} side of coset {key}" for key in _sample_keys(space)
                for side in _singular_sides(space, key)]
-        record("coset-tables", not bad, ", ".join(bad[:4]))
+        record("coset-tables", not bad, ", ".join(bad))
 
     return {
         "schema": "quadrics/verify/1",

@@ -204,7 +204,7 @@ class SpacePresentation:
         "pushforwards", "pushforward_targets", "pushforward_ansatz",
         "identifications", "annihilator_pair",
         "_table_cache", "_eval_cache", "_powers", "_classes", "_products",
-        "_eval_values", "_unit_classes", "_fibre_block",
+        "_eval_values", "_unit_classes", "_fibre_block", "_duals", "_dual_parts",
     )
 
     def __init__(self, name, family, q, group, underlying, fixed_rings,
@@ -248,6 +248,9 @@ class SpacePresentation:
         self._products = {}
         # (id(rho), *ids of the fixed parts) -> the one pair of those classes
         self._eval_values = {}
+        # the duals that solves read, and one object per distinct part of
+        # them (see engine._dual_of)
+        self._duals, self._dual_parts = {}, {}
         self._unit_classes = tuple(map(self._shared, (
             NonequivClass.unit(underlying), *FixedTuple.unit(self.fixed_rings).parts)))
         # _block's fibre data: a lifted z1's coset key, q, and whether divq lifts

@@ -339,16 +339,20 @@ def test_module_entry_point_runs_the_cli():
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # every worker pays for what `import quadrics` loads
+    # every worker pays for what `import quadrics` loads, and a table solve
+    # (the coordinate read of its dual) loads neither fractions nor decimal
     src = str(Path(quadrics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, quadrics; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+         "sp = quadrics.load_presentation('Q_BD', 3); m = sp.mono(z00=1, z11=2, cw=1); "
+         "print(quadrics.solve_with_coefficients(sp, sp.mono_grading(m), *sp.eval_mono(m))[0]); "
+         "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\nz00*z11^2*cw\n[]\n"
 
 
 def test_unknown_space_is_an_argparse_error(capsys):

@@ -446,6 +446,68 @@ def test_q22_determinants_match_sympy():
         assert engine._singular_sides(q22, key) == [], key
 
 
+def _solved_or_error(space, grading, rho, fix, ansatz=None):
+    """A solve's (element, records), or its error's type and message."""
+    try:
+        element, records, _ = solve_with_coefficients(space, grading, rho, fix, ansatz=ansatz)
+    except UnsolvableError as err:
+        return type(err), str(err)
+    return element, records
+
+
+def test_the_coordinate_read_and_the_lattice_solve_agree(monkeypatch):
+    # seeded combinations of dressed slots, and targets perturbed by one
+    # slot's evaluation on one side (an undressed slot, an odd Burnside
+    # difference, a wrong side, or an odd multiple of a 2) or by one basis
+    # key: a table solve reads coordinates, the same candidates passed as
+    # an ansatz go through the lattice, and the two must agree
+    lattice, calls = engine._lattice_coefficients, []
+    monkeypatch.setattr(engine, "_lattice_coefficients",
+                        lambda *args: calls.append(args) or lattice(*args))
+    rng = random.Random(21)
+    outcomes = set()
+    for name, q in (("X1q", 16), ("Q_BD", 5), ("Q_BD", 16), ("Q_DD", 5), ("Q_DD", 16),
+                    ("Q22", None), ("Gr222", None)):
+        sp = load_presentation(name, q)
+        rings = (sp.underlying, *sp.fixed_rings)
+        for key in dict.fromkeys((*engine._sample_keys(sp), *_grid_keys(sp))):
+            monos = sp.coset_basis(key)
+            for _ in range(4):
+                grading = sp.mono_grading(rng.choice(monos)) + sp.group.element(
+                    *rng.choice(SOLVE_SHIFTS))
+                candidates = engine._dressed_slots(grading, *sp.coset_table(grading))
+                terms = {}
+                for template, mono in candidates:
+                    burnside = template.shape() == (0, 0, 0, 0)
+                    terms[mono] = template.scale(B(rng.randint(-3, 3),
+                                                   rng.randint(-3, 3) if burnside else 0))
+                rho, fix = RingElement(sp, grading, terms).evaluate()
+                kind = rng.randrange(3)
+                if kind == 1:
+                    slot_rho, slot_fix = sp.eval_mono(rng.choice(monos))
+                    if rng.randrange(2):
+                        rho = rho + slot_rho
+                    else:
+                        fix = fix + slot_fix
+                elif kind == 2:
+                    ci = rng.randrange(len(rings))
+                    extra = NonequivClass.monomial(rings[ci], rng.choice(rings[ci].basis_keys()))
+                    if ci:
+                        fix = FixedTuple(p + extra if i == ci - 1 else p
+                                         for i, p in enumerate(fix.parts))
+                    else:
+                        rho = rho + extra
+                read = _solved_or_error(sp, grading, rho, fix)
+                assert not calls, (sp.name, str(grading))  # the table solve read coordinates
+                assert read == _solved_or_error(sp, grading, rho, fix, ansatz=candidates), (
+                    sp.name, str(grading), kind)
+                calls.clear()
+                outcomes.add(read[1].split(" in degree")[0] if read[0] is UnsolvableError
+                             else "solved" if read[0].terms else "zero")
+    assert outcomes >= {"solved", "zero", "evaluation targets are inconsistent with the basis",
+                        "no integer point: 1 is not a multiple of 2"}, outcomes
+
+
 @pytest.mark.parametrize("name, q", [("Q22", None), ("Gr222", None), ("Q_BD", 3),
                                      ("Q_DD", 4), ("X1q", 3)])
 def test_deleting_any_slot_of_a_sampled_coset_fails_the_coset_tables_check(
@@ -765,6 +827,17 @@ def test_verify_reports_a_coset_slot_that_solves_to_an_earlier_candidate(monkeyp
     assert report["ok"] is False
 
 
+def test_verify_lists_every_failing_side_of_the_coset_tables(monkeypatch):
+    # ten sides fail, and the report names them all
+    monkeypatch.setattr(engine, "_dual", lambda columns: None)
+    bd3 = presentation._build_quadric("BD", 3)
+    sides = [f"{side} side of coset {key}" for key in engine._sample_keys(bd3)
+             for side in ("rho", "fixed")]
+    assert len(sides) == 10
+    report = verify_presentation(bd3)
+    assert report["failures"] == ["coset-tables: " + ", ".join(sides)]
+
+
 @pytest.mark.parametrize("q", (32, 128, 1024))
 @pytest.mark.parametrize("family", ("BD", "DD"))
 def test_large_quadrics_verify(family, q):
@@ -780,7 +853,7 @@ def test_sampled_slot_matrices_split_into_blocks_of_at_most_four_columns(name, q
     for key in engine._sample_keys(sp):
         evals = [sp.eval_mono(m) for m in sp.coset_basis(key)]
         for columns in ([(rho,) for rho, _ in evals], [fix.parts for _, fix in evals]):
-            assert max(ncols for ncols, _ in engine._blocks(columns)) <= 4, (key, columns)
+            assert max(len(cols) for cols, _, _ in engine._blocks(columns)) <= 4, (key, columns)
 
 
 def test_scalars_multiply_elements_from_either_side():
@@ -947,7 +1020,12 @@ def sparse_columns(draw):
 @example([[(0, 0, 1)], []])  # a zero column
 @example([[(0, 0, 1), (0, 1, 1)], [(0, 0, 1), (0, 1, -1)], [(1, 2, 1)]])  # det 2, then det 1
 @example([[(0, 0, 1)], [(0, 0, 2), (0, 1, 1)], [(0, 1, 3)]])  # 3 columns on 2 rows
+@example([[(0, 0, 1), (1, 3, 1)]])  # 1 column on 2 rows: no kernel, index 1, not square
+@example([[(0, 0, 2), (0, 1, 1)], [(0, 0, 1), (0, 1, 1)]])  # a 2x2 block with det 1
 def test_blockwise_basis_check_matches_the_whole_matrix_cut(entries):
+    # the dual builds exactly when the whole matrix is square and its cut
+    # finds no kernel and index 1 (|det| = 1), and then it is the inverse:
+    # the coordinates of column j are the j-th unit vector
     columns = [tuple(NonequivClass(ring, {(k,): c for ci, k, c in column if ci == i})
                      for i, ring in enumerate(_RINGS)) for column in entries]
     rows: dict = {}  # the whole matrix, its rows in the order _blocks meets them
@@ -956,7 +1034,13 @@ def test_blockwise_basis_check_matches_the_whole_matrix_cut(entries):
             for key, c in cls.coeffs.items():
                 rows.setdefault((ci, key), [0] * len(columns))[j] = c
     basis, index = engine._kernel(list(rows.values()), len(columns))
-    assert engine._is_basis(columns) == (not basis and index == 1)
-    if len(rows) == len(columns):  # square: a Z-basis exactly when |det| = 1
+    square = len(rows) == len(columns)
+    dual = engine._dual(columns)
+    assert (dual is None) == (not square or bool(basis) or index != 1)
+    if square:
         matrix = sympy.Matrix(list(rows.values()))
-        assert engine._is_basis(columns) == (abs(matrix.det()) == 1)
+        assert (dual is not None) == (abs(matrix.det()) == 1)
+    if dual is not None:
+        n = len(columns)
+        for j, classes in enumerate(columns):
+            assert engine._coordinates(dual, classes, n) == [int(i == j) for i in range(n)]

@@ -29,8 +29,9 @@ The slot matrices are almost permutation matrices, so a dual is built
 block by block, in integers only.  Classes are homogeneous, so a solve
 reads only the blocks of its degree, each built once per space
 (`_dual_of`).  `verify_presentation` checks that every sampled table is a
-Z-basis under rho and under fix by building its whole duals with the
-same builder, and drops them; that is linear in q.  The dressing 1 enters
+Z-basis under rho and under fix with the same builder: it builds the
+whole dual of each distinct column list once per call and keeps only the
+verdict (`_singular_sides`); that is linear in q.  The dressing 1 enters
 rho as a + 2b and the fixed side as a, and every other one has a non-zero
 multiplier on one side, so such a table admits one rational solution at
 most.
@@ -403,16 +404,13 @@ def _blocks(columns: list[tuple[NonequivClass, ...]]
             ) -> list[tuple[list[int], list[tuple[int, Key]], list[list[int]]]]:
     """The connected blocks of the columns, each a class per ring, as
     (column indices, (ring, key) rows, the rows on those columns); a zero
-    column is a block with no rows."""
-    rows: dict[tuple[int, Key], dict[int, int]] = {}
-    for j, classes in enumerate(columns):
-        for ci, cls in enumerate(classes):
-            for key, c in cls.coeffs.items():
-                row = rows.get((ci, key))
-                if row is None:
-                    rows[ci, key] = {j: c}
-                else:
-                    row[j] = c
+    column is a block with no rows.
+
+    One pass over the entries joins each column to the first owner of each
+    of its (ring, key) rows (union-find) and keeps the column's entries;
+    then each row's owner gives way to its place in its block, and the
+    block rows are read off the kept entries.
+    """
     parent = list(range(len(columns)))
 
     def root(j: int) -> int:
@@ -421,11 +419,18 @@ def _blocks(columns: list[tuple[NonequivClass, ...]]
             j = parent[j]
         return j
 
-    for row in rows.values():
-        if len(row) > 1:
-            first, *rest = row
-            for j in rest:
-                parent[root(j)] = root(first)
+    owner: dict[tuple[int, Key], int] = {}
+    entries: list[list[tuple[tuple[int, Key], int]]] = []
+    for j, classes in enumerate(columns):
+        column = []
+        for ci, cls in enumerate(classes):
+            for key, c in cls.coeffs.items():
+                row = (ci, key)
+                first = owner.setdefault(row, j)
+                if first != j:
+                    parent[root(j)] = root(first)
+                column.append((row, c))
+        entries.append(column)
     blocks: dict[int, tuple[list[int], list[tuple[int, Key]]]] = {}
     for j in range(len(columns)):
         r = root(j)
@@ -434,10 +439,18 @@ def _blocks(columns: list[tuple[NonequivClass, ...]]
             blocks[r] = ([j], [])
         else:
             block[0].append(j)
-    for key, row in rows.items():
-        blocks[root(next(iter(row)))][1].append(key)
-    return [(cols, keys, [[rows[key].get(j, 0) for j in cols] for key in keys])
-            for cols, keys in blocks.values()]
+    for row, j in owner.items():
+        keys = blocks[root(j)][1]
+        owner[row] = len(keys)  # from here on, the row's place in its block
+        keys.append(row)
+    out = []
+    for cols, keys in blocks.values():
+        rows = [[0] * len(cols) for _ in keys]
+        for t, j in enumerate(cols):
+            for row, c in entries[j]:
+                rows[owner[row]][t] = c
+        out.append((cols, keys, rows))
+    return out
 
 
 def _unimodular_inverse(rows: list[list[int]]) -> list[list[int]] | None:
@@ -746,21 +759,34 @@ def _sample_keys(space: SpacePresentation):
     return keys
 
 
-def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]:
+def _singular_sides(space: SpacePresentation, key: tuple[int, ...],
+                    decided: dict[tuple, bool] | None = None) -> list[str]:
     """The sides on which a coset table's undressed slots are not a Z-basis:
     "rho" of H*(X), "fixed" of the fixed components' cohomology.
 
     A side is a basis when it has as many slots as its rings' rank and its
-    dual builds (_dual), the builder a table solve reads; the duals are
-    dropped here.  The slot matrices have blocks of at most 4 columns on
-    every sampled table, so this is linear in the number of slots.
+    dual builds (_dual), the builder a table solve reads; the dual itself
+    is dropped.  `decided` keeps each side's verdict under the ids of its
+    shared classes, as in _dual_of: verify_presentation passes one dict per
+    call, so a column list that recurs across cosets (the rho columns of a
+    quadric mostly do) is decided once, and the space keeps nothing.  The
+    slot matrices have blocks of at most 4 columns on every sampled table,
+    so this is linear in the number of slots.
     """
+    decided = {} if decided is None else decided
     evals = [space.eval_trusted(m) for m in space.coset_basis(key)]
-    rho_ok = (len(evals) == space.underlying.rank()
-              and _dual([(rho,) for rho, _ in evals]) is not None)
-    fix_ok = (len(evals) == sum(ring.rank() for ring in space.fixed_rings)
-              and _dual([fix.parts for _, fix in evals]) is not None)
-    return [side for side, ok in (("rho", rho_ok), ("fixed", fix_ok)) if not ok]
+    sides = (("rho", space.underlying.rank(), [(rho,) for rho, _ in evals]),
+             ("fixed", sum(ring.rank() for ring in space.fixed_rings),
+              [fix.parts for _, fix in evals]))
+    bad = []
+    for side, rank, columns in sides:
+        memo = (side, *(id(cls) for classes in columns for cls in classes))
+        ok = decided.get(memo)
+        if ok is None:
+            ok = decided[memo] = len(columns) == rank and _dual(columns) is not None
+        if not ok:
+            bad.append(side)
+    return bad
 
 
 def verify_presentation(space: SpacePresentation) -> dict:
@@ -843,8 +869,9 @@ def verify_presentation(space: SpacePresentation) -> dict:
             == multiply(shift, multiply(ident["cw1"], ident["cw2"])))
 
     if space.family != "BU1":
+        decided: dict[tuple, bool] = {}
         bad = [f"{side} side of coset {key}" for key in _sample_keys(space)
-               for side in _singular_sides(space, key)]
+               for side in _singular_sides(space, key, decided)]
         record("coset-tables", not bad, ", ".join(bad))
 
     return {

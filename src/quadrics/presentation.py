@@ -161,8 +161,13 @@ _PAIRS: dict[tuple[str, int], tuple[str, int]] = {}
 def _ordered(order: tuple[str, ...], exps: Mapping[str, int]) -> Mono:
     """The monomial of known letters' exponents, in letter order, built from
     the shared pairs; a name outside `order` is not checked, and drops out."""
-    pairs = ((name, exps[name]) for name in order if exps.get(name, 0))
-    return tuple(_PAIRS.setdefault(pair, pair) for pair in pairs)
+    out = []
+    for name in order:
+        exp = exps.get(name)
+        if exp:
+            pair = (name, exp)
+            out.append(_PAIRS.setdefault(pair, pair))
+    return tuple(out)
 
 
 def _mono_of(order: tuple[str, ...], exps: Mapping[str, int], where="this presentation") -> Mono:
@@ -271,8 +276,13 @@ class SpacePresentation:
         return _mono_of(self.letter_order, merged, self.name)
 
     def mono_grading(self, m: Mono) -> GradingElement:
-        """The sum of the letters' gradings, on int coordinates; letter
-        gradings are canonical (no last W), so the sum is too."""
+        """The sum of the letters' gradings; letter gradings are canonical
+        (no last W), so the sum is too."""
+        one, sigma, omega = self._int_grading(m)
+        return GradingElement(self.group, one, sigma, tuple(omega))
+
+    def _int_grading(self, m: Mono) -> tuple[int, int, list[int]]:
+        """mono_grading's one, sigma and W coordinates, on ints."""
         one = sigma = 0
         omega = [0] * len(self.group.labels)
         for name, exp in m:
@@ -281,7 +291,7 @@ class SpacePresentation:
             sigma += exp * g.sigma
             for i, w in enumerate(g.omega):
                 omega[i] += exp * w
-        return GradingElement(self.group, one, sigma, tuple(omega))
+        return one, sigma, omega
 
     def is_admissible(self, m: Mono) -> bool:
         """Negative powers must be invertible or licensed by a present letter."""
@@ -294,9 +304,9 @@ class SpacePresentation:
                 return False
         return True
 
-    def _refuse(self, m: Mono, why: str) -> ValueError:
-        return ValueError(f"monomial {mono_str(m)} in degree {self.mono_grading(m)} "
-                          f"of {self.name}: {why}")
+    def _refuse(self, m: Mono, why: str, error: type[Exception] = ValueError) -> Exception:
+        return error(f"monomial {mono_str(m)} in degree {self.mono_grading(m)} "
+                     f"of {self.name}: {why}")
 
     # --- evaluation ---
 
@@ -316,19 +326,24 @@ class SpacePresentation:
         takes its unit, so nothing is ever multiplied by 1.  Every class is
         the one of its value (_shared), each product of two is made once
         (_product), and monomials whose classes are the same objects share
-        one pair, so the caches hold references, not copies.
+        one pair, so the caches hold references, not copies.  A product
+        past a window ring's last power (BU1) raises RuntimeError, naming
+        the monomial, its degree and the space before the ring's own text.
         """
         cached = self._eval_cache.get(m)
         if cached is not None:
             return cached
         acc: list[NonequivClass | None] = [None] * len(self._unit_classes)
-        for pair in m:
-            power = self._powers.get(pair)
-            if power is None:
-                power = self._powers[pair] = self._power(m, *pair)
-            for i, p in enumerate(power):
-                if p is not None:
-                    acc[i] = p if acc[i] is None else self._product(acc[i], p)
+        try:
+            for pair in m:
+                power = self._powers.get(pair)
+                if power is None:
+                    power = self._power(m, *pair)
+                for i, p in enumerate(power):
+                    if p is not None:
+                        acc[i] = p if acc[i] is None else self._product(acc[i], p)
+        except RuntimeError as err:
+            raise self._refuse(m, str(err), RuntimeError) from err
         rho, *parts = (u if a is None else a for a, u in zip(acc, self._unit_classes))
         key = (id(rho), *map(id, parts))
         result = self._eval_values.get(key)
@@ -338,22 +353,43 @@ class SpacePresentation:
         return result
 
     def _power(self, m: Mono, name: str, exp: int) -> tuple[NonequivClass | None, ...]:
-        """The restrictions of name^exp, shared, with None for a unit.
+        """The restrictions of name^exp, shared, with None for a unit, cached.
+
+        A positive power is the letter's highest cached power below exp
+        times the letter, one _product per ring and step, each step cached.
+        It climbs in a loop, not by recursion: q = 1024 asks for powers in
+        the thousands.  A climb out of a window ring (BU1) raises the error
+        of the direct power v ** exp instead, as before the climb: cw^40
+        names c^40, not the c^32 where the climb leaves the window.
 
         Only component letters go negative (divided classes), and their
         restrictions must be units or vanish outright; the refusal names
         the monomial `m` that asked for the power.
         """
-        letter = self.letters[name]
-        units = self._unit_classes
+        letter, powers, units = self.letters[name], self._powers, self._unit_classes
         classes = (letter.rho, *letter.fix.parts)
-        if exp >= 0:
-            classes = tuple(v ** exp for v in classes)
-        elif letter.rho != units[0]:
+        if exp < 0 and letter.rho != units[0]:
             raise self._refuse(m, f"{name} has no invertible underlying restriction")
-        elif any(v and v != u for v, u in zip(letter.fix.parts, units[1:])):
+        if exp < 0 and any(v and v != u for v, u in zip(classes[1:], units[1:])):
             raise self._refuse(m, f"{name} has a non-unit fixed restriction")
-        return tuple(None if v == u else self._shared(v) for v, u in zip(classes, units))
+        first = powers[name, 1] = powers.get((name, 1)) or tuple(
+            None if v == u else self._shared(v) for v, u in zip(classes, units))
+        top = max(exp - 1, 1)  # a negative power is the first one
+        while (name, top) not in powers:
+            top -= 1
+        power = powers[name, top]
+        try:
+            for k in range(top + 1, exp + 1):  # a step may give the unit, as (-1)^2
+                power = powers[name, k] = tuple(
+                    b if p is None else p if b is None
+                    else None if (product := self._product(p, b)) is u else product
+                    for p, b, u in zip(power, first, units))
+        except RuntimeError:
+            for v in classes:
+                v ** exp  # raises, naming the power asked for
+            raise
+        powers[name, exp] = power
+        return power
 
     def _shared(self, cls: NonequivClass) -> NonequivClass:
         """The one class of cls's value that the evaluation caches hold."""
@@ -412,13 +448,14 @@ class SpacePresentation:
 
     def _graded_slots(self, key: tuple[int, ...], monos: Iterable[Mono]
                       ) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
-        """Check that slots lie on a coset; return them and their degrees."""
+        """Check that slots lie on a coset; return them and their degrees,
+        read off the int gradings (the coset key is the W offsets)."""
         monos, degrees = tuple(monos), []
         for m in monos:
-            g = self.mono_grading(m)
-            if g.coset_key() != key:
+            one, sigma, omega = self._int_grading(m)
+            if tuple(w - omega[0] for w in omega[1:]) != key:
                 raise AssertionError(f"slot {mono_str(m)} lands off-coset {key}")
-            degrees += (g.one, g.sigma)
+            degrees += (one, sigma)
         return monos, tuple(degrees)
 
     def section_family(self, key) -> tuple[tuple[Mono, ...], tuple[int, ...]]:

@@ -213,6 +213,14 @@ def test_nf_past_the_bu1_window_fails_loudly(capsys):
     assert (code, out) == (0, "cw^31\nrho: c^31\nfix: c^31; 1\n")
 
 
+def test_a_window_error_names_the_monomial_its_degree_and_the_space(capsys):
+    for expr, degree in (("cw^40", "80s - 40W0"), ("cw^20*cxw^20", "40 + 40s")):
+        code, out, err = invoke(capsys, "nf", "BU1", expr)
+        assert (code, out) == (1, ""), expr
+        assert err == (f"error: monomial {expr} in degree {degree} of BU1: poly-window: "
+                       "c^40 lies past the window c^0..c^31 of Z[c]\n")
+
+
 def test_verify_text_output(capsys):
     code, out, _ = invoke(capsys, "verify", "Q_BD", "--q", "0")
     assert code == 0

@@ -838,6 +838,43 @@ def test_verify_lists_every_failing_side_of_the_coset_tables(monkeypatch):
     assert report["failures"] == ["coset-tables: " + ", ".join(sides)]
 
 
+def _unmemoized_sides(sp, key):
+    """_singular_sides of one table, each side decided by its own _dual."""
+    evals = [sp.eval_trusted(m) for m in sp.coset_basis(key)]
+    sides = (("rho", sp.underlying.rank(), [(rho,) for rho, _ in evals]),
+             ("fixed", sum(ring.rank() for ring in sp.fixed_rings),
+              [fix.parts for _, fix in evals]))
+    return [side for side, rank, columns in sides
+            if len(columns) != rank or engine._dual(columns) is None]
+
+
+def test_the_verify_memo_changes_no_verdict():
+    for name, q in TABLED + [("Q_BD", 1024), ("Q_DD", 1024)]:
+        sp = load_presentation(name, q)
+        decided = {}
+        for key in engine._sample_keys(sp):
+            assert engine._singular_sides(sp, key, decided) == _unmemoized_sides(sp, key), \
+                (sp.name, key)
+
+
+def test_verify_decides_each_distinct_slot_matrix_once(monkeypatch):
+    # a guard on the memo, with no timing in it: one _dual per distinct rho
+    # column list and per distinct fixed column list of the sampled tables
+    calls = []
+    dual = engine._dual
+    monkeypatch.setattr(engine, "_dual", lambda columns: calls.append(columns) or dual(columns))
+    bd16 = presentation._build_quadric("BD", 16)
+    assert verify_presentation(bd16)["ok"]
+    keys = engine._sample_keys(bd16)
+    rho, fixed = set(), set()
+    for key in keys:
+        evals = [bd16.eval_trusted(m) for m in bd16.coset_basis(key)]
+        rho.add(tuple(id(r) for r, _ in evals))
+        fixed.add(tuple(id(part) for _, fix in evals for part in fix.parts))
+    assert len(rho) < len(keys)  # the rho columns recur across cosets
+    assert len(calls) == len(rho) + len(fixed)
+
+
 @pytest.mark.parametrize("q", (32, 128, 1024))
 @pytest.mark.parametrize("family", ("BD", "DD"))
 def test_large_quadrics_verify(family, q):

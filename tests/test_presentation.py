@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from quadrics import engine
+from quadrics import engine, presentation
 from quadrics.cli import ZETA_NAMES, parse
 from quadrics.nonequiv import NonequivClass
 from quadrics.presentation import (
@@ -320,6 +320,57 @@ def test_letter_powers_equal_repeated_multiplication():
                 rho, fix = rho * letter.rho, fix * letter.fix
                 got = sp.eval_mono(sp.mono({letter.name: exp}))
                 assert got == (rho, fix), (sp.name, letter.name, exp)
+
+
+def test_powers_asked_out_of_order_are_the_direct_powers():
+    # a power climbs from the letter's highest cached power below it; asked
+    # out of order, or far past every cached power, it is still v ** exp on
+    # every ring, None exactly for the unit, and the one object of its value
+    dd16, dd1024 = (presentation._build_quadric("DD", q) for q in (16, 1024))
+    top = max(((exp, name) for key in engine._sample_keys(dd1024)
+               for m in dd1024.coset_basis(key) for name, exp in m))
+    assert top[0] >= 1024
+    for sp, asked in ((dd16, [(9, "cxw"), (3, "cxw"), (20, "cxw")]), (dd1024, [top])):
+        for exp, name in asked:
+            sp.eval_mono(sp.mono({name: exp}))
+            letter, power = sp.letters[name], sp._powers[name, exp]
+            for v, p, unit in zip((letter.rho, *letter.fix.parts), power, sp._unit_classes):
+                assert (unit if p is None else p) == v ** exp, (sp.name, name, exp)
+                assert p is None or (p != unit and sp._shared(p) is p), (sp.name, name, exp)
+
+
+def test_a_power_past_the_bu1_window_names_the_power_asked_for():
+    # the climb leaves the window at c^32, yet the error names c^40
+    bu1 = presentation._build_bu1()
+    bu1.eval_mono(bu1.mono(cw=31))
+    m = bu1.mono(cw=40)
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"monomial cw^40 in degree {bu1.mono_grading(m)} of BU1: "
+            "poly-window: c^40 lies past the window c^0..c^31 of Z[c]")):
+        bu1.eval_mono(m)
+
+
+def test_table_degrees_are_the_slots_gradings():
+    # coset_table reads (one, sigma) and the coset key off int sums; they
+    # agree with mono_grading and with the sum of the letters' gradings
+    # every space but BU1, which has no tables
+    for name, q in LOADABLE[1:] + [("X1q", 1024), ("Q_BD", 1024), ("Q_DD", 1024)]:
+        sp = load_presentation(name, q)
+        for key in engine._sample_keys(sp):
+            slots, degrees = sp.coset_table(key)
+            expected = []
+            for m in slots:
+                g = sp.mono_grading(m)
+                assert g == sum((exp * sp.letters[n].grading for n, exp in m),
+                                sp.group.zero()), (sp.name, mono_str(m))
+                assert g.coset_key() == key, (sp.name, mono_str(m))
+                expected += (g.one, g.sigma)
+            assert degrees == tuple(expected), (sp.name, key)
+    bd2 = load_presentation("Q_BD", 2)
+    slots = bd2.coset_basis((1, 0))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"slot {mono_str(slots[0])} lands off-coset (1, 1)")):
+        bd2._graded_slots((1, 1), slots)
 
 
 def _naive_power(v, exp):

@@ -19,15 +19,14 @@ Layers, bottom up:
   and products of projective lines, used as evaluation targets.
 * `presentation` -- letters, rewrite rules, stated relations, evaluation
   maps and coset-basis tables for each space.
-* `engine` -- homogeneous ring elements, multiplication with rewriting
-  to table normal form, coefficient solving from evaluation pairs, and
-  the presentation-wide verifier.
+* `engine` -- homogeneous ring elements, multiplication (a solve from
+  evaluation pairs, or rewriting where evaluation cannot see the class),
+  coefficient solving, and the presentation-wide verifier.
 * `enumerative` -- the symmetric-cube Euler class computation.
 * `cli` -- the `quadrics` command-line tool and expression language.
 """
 
-from .burnside import (BurnsideScalar, UnsolvableError, burnside_mul,
-                       burnside_solve)
+from .burnside import BurnsideScalar, UnsolvableError, burnside_solve
 from .engine import (AmbiguousSolveError, RingElement, annihilator_check,
                      multiply, normal_form, solve_with_coefficients,
                      verify_presentation)
@@ -35,8 +34,8 @@ from .enumerative import LineCountResult, euler_sym3, sym3_grading
 from .grading import GradingElement, GradingGroup
 from .nonequiv import (NonequivClass, TruncatedRing, euler_fixed_sym3,
                        euler_sym3_rank2)
-from .presentation import (FixedTuple, SpacePresentation, coset_basis,
-                           load_presentation, mono_str)
+from .presentation import (FixedTuple, SpacePresentation, load_presentation,
+                           mono_str)
 from .scalars import FragmentError, PointScalar, scalar_dressing
 from .cli import Expression, ParseError, parse, run
 
@@ -57,9 +56,7 @@ __all__ = [
     "TruncatedRing",
     "UnsolvableError",
     "annihilator_check",
-    "burnside_mul",
     "burnside_solve",
-    "coset_basis",
     "euler_fixed_sym3",
     "euler_sym3",
     "euler_sym3_rank2",

@@ -92,10 +92,6 @@ KAPPA = BurnsideScalar(2, -1)  # 2 - g
 ONE_MINUS_KAPPA = ONE - KAPPA  # = g - 1, a self-inverse unit
 
 
-def burnside_mul(x: BurnsideScalar, y: BurnsideScalar) -> BurnsideScalar:
-    return x * y
-
-
 def burnside_solve(r: int, f: int) -> BurnsideScalar:
     """The unique alpha with rho(alpha) = r and fix(alpha) = f.
 

@@ -3,12 +3,15 @@
 Elements are finite sums of point-ring scalars against admissible
 monomials in the space's letters, homogeneous in the full grading.
 `multiply` is the only product: a normal form is a product by 1, a
-scalar multiple a product by a dressed 1.  It runs the presentation's
-declared rewrite rules, and nothing else, to a fixpoint; a rule fires
-only where every monomial it produces is admissible, so every
-intermediate is a class and evaluation may refuse the rest.  Then, when
-the result is not already supported on the coset table, it solves for
-the unique basis combination with the same evaluation.  The same solver, fed
+scalar multiple a product by a dressed 1.  Every finite coset table is a
+Z-basis under rho and under fix, so where no slot of a degree can carry a
+2-torsion class e^k*xi^j the evaluation pair decides the class, and the
+product is the solve of the product of the factors' evaluations.  The
+declared rewrite rules run only where evaluation cannot see the class: on
+BU1, on a coset with no finite table, and in a torsion-capable degree; a
+rule fires only where every monomial it produces is admissible, so every
+intermediate is a class.  Classes outside the point-ring fragment
+(scalars.py) are invisible to both paths.  The same solver, fed
 the complementary section's own evaluation or a declared pushforward
 target instead, is what turns the stated section/pushforward lemmas into
 machine checks: `verify_presentation` replays all of them.
@@ -269,38 +272,52 @@ def _rewrite(space: SpacePresentation, grading: GradingElement,
     return out
 
 
-def multiply(u: RingElement, v: RingElement) -> RingElement:
-    """u*v: the termwise products, rewritten by the declared rules.
+def _torsion_capable(grading: GradingElement, degrees: tuple[int, ...]) -> bool:
+    """Whether a slot's gap (a, b) to `grading` (flat degrees as in _lines)
+    is the degree of a 2-torsion class e^k*xi^j: a < 0, a even, a + b > 0."""
+    pairs = iter(degrees)
+    for one, sigma in zip(pairs, pairs):
+        a = grading.one - one
+        if a < 0 and not a % 2 and a + grading.sigma - sigma > 0:
+            return True
+    return False
 
-    The rewritten form stands when it is zero, has no finite table, lies on
-    the table's slots, or carries a 2-torsion term e^k*xi^j (k, j >= 1,
-    which evaluates to 0); otherwise it is re-solved from its evaluation
-    pair.  A scalar product outside the point-ring fragment is solved from
-    the product of the factors' evaluations, and a solve that fails there
-    keeps the FragmentError as its context.
+
+def multiply(u: RingElement, v: RingElement) -> RingElement:
+    """u*v.  In a tabled degree with no torsion-capable slot, the solve of
+    the product of the factors' evaluations.  Elsewhere the termwise
+    products rewritten by the declared rules, which preserve evaluation
+    (verify's `rule:` checks); that form stands when there is no table, or
+    it is zero, lies on the table's slots or carries a term e^k*xi^j (which
+    evaluates to 0), and otherwise goes to the same solve.  A termwise
+    scalar product outside the point-ring fragment goes to the solve too,
+    whose errors keep the FragmentError as their context.
     """
     if u.space is not v.space:
         raise ValueError("elements live over different spaces")
     space, grading = u.space, u.grading + v.grading
     try:
+        slots, degrees = space.coset_table(grading)
+    except NoFiniteTableError:  # BU1, or a deep bundle coset
+        slots = degrees = None
+
+    def solved() -> RingElement:
+        rho, fix = (a * b for a, b in zip(u.evaluate(), v.evaluate()))
+        return solve_with_coefficients(space, grading, rho, fix)[0]
+
+    try:
         terms: dict[Mono, PointScalar] = {}
         for m1, s1 in u.terms.items():
             for m2, s2 in v.terms.items():
                 _accumulate(terms, mono_mul(m1, m2, space.letter_order), s1 * s2)
-        element = RingElement(space, grading, _rewrite(space, grading, terms))
-        if not element.terms:
-            return element
-        try:
-            slots = set(space.coset_basis(grading))
-        except NoFiniteTableError:
-            return element  # BU1, or a deep bundle coset
-        if slots.issuperset(element.terms) or any(
-                s.e and s.xi for s in element.terms.values()):
-            return element
-        return solve_with_coefficients(space, grading, *element.evaluate())[0]
+        if slots is None or _torsion_capable(grading, degrees):
+            element = RingElement(space, grading, _rewrite(space, grading, terms))
+            if (slots is None or not element.terms or set(slots).issuperset(element.terms)
+                    or any(s.e and s.xi for s in element.terms.values())):
+                return element
     except FragmentError:
-        rho, fix = (a * b for a, b in zip(u.evaluate(), v.evaluate()))
-        return solve_with_coefficients(space, grading, rho, fix)[0]
+        return solved()
+    return solved()
 
 
 def scalar_multiple(u: RingElement, scalar: PointScalar) -> RingElement:
@@ -308,6 +325,7 @@ def scalar_multiple(u: RingElement, scalar: PointScalar) -> RingElement:
 
 
 def normal_form(u: RingElement) -> RingElement:
+    """u as a product by 1: decided by evaluation or rewritten, as in multiply."""
     return multiply(u, RingElement.one(u.space))
 
 

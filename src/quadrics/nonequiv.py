@@ -237,6 +237,9 @@ class NonequivClass:
             raise ValueError("no inverses in a truncated ring")
         if n < 2:
             return self if n else NonequivClass.unit(self.ring)
+        if len(self.coeffs) == 1:  # one reduce of the scaled exponent
+            (key, c), = self.coeffs.items()
+            return NonequivClass.from_exponents(self.ring, tuple(n * x for x in key), c ** n)
         half = self ** (n // 2)
         return half * half * self if n % 2 else half * half
 

@@ -947,7 +947,3 @@ def load_presentation(name: str, q: int | None = None) -> SpacePresentation:
     if not (lo <= q <= hi):
         raise ValueError(f"q={q} out of range [{lo}, {hi}] for {name}")
     return build(q)
-
-
-def coset_basis(space: SpacePresentation, key) -> tuple[Mono, ...]:
-    return space.coset_basis(key)

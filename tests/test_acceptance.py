@@ -10,8 +10,7 @@ import random
 import pytest
 
 from quadrics.burnside import (
-    ONE_MINUS_KAPPA, BurnsideScalar, UnsolvableError, burnside_mul,
-    burnside_solve,
+    ONE_MINUS_KAPPA, BurnsideScalar, UnsolvableError, burnside_solve,
 )
 from quadrics.cli import Expression, parse
 from quadrics.engine import (
@@ -20,7 +19,7 @@ from quadrics.engine import (
 )
 from quadrics.enumerative import euler_sym3
 from quadrics.nonequiv import euler_fixed_sym3, euler_sym3_rank2
-from quadrics.presentation import coset_basis, load_presentation, mono_mul
+from quadrics.presentation import load_presentation, mono_mul
 from quadrics.scalars import PointScalar
 
 B = BurnsideScalar
@@ -161,7 +160,7 @@ def test_05_verify_presentations():
                 key = (rng.randint(-2, 2), 0, rng.randint(-2, 2))
             else:
                 key = (rng.randint(-2, 2), rng.randint(-2, 2))
-            for m in coset_basis(sp, key):
+            for m in sp.coset_basis(key):
                 killed, member = annihilator_check(
                     sp, RingElement.from_mono(sp, m))
                 assert killed == member, (sp.name, m)
@@ -201,7 +200,7 @@ def test_07_lines_odd():
 
 @criterion(8, "unit identities")
 def test_08_units():
-    assert burnside_mul(ONE_MINUS_KAPPA, ONE_MINUS_KAPPA) == B(1, 0)
+    assert ONE_MINUS_KAPPA * ONE_MINUS_KAPPA == B(1, 0)
     bd0 = load_presentation("Q_BD", 0)
     u = RingElement.from_terms(bd0, (
         (PointScalar.integer(1), bd0.mono()),
@@ -303,7 +302,7 @@ def test_11_property_suite():
         else:
             keys = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
         for key in keys:
-            for m in coset_basis(sp, key):
+            for m in sp.coset_basis(key):
                 rho, fix = sp.eval_mono(m)
                 el, _, _ = solve_with_coefficients(
                     sp, sp.mono_grading(m), rho, fix)

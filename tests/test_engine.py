@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,13 @@ from sympy.matrices.normalforms import smith_normal_decomp, smith_normal_form
 
 from quadrics import engine, parse, presentation
 from quadrics.burnside import BurnsideScalar, UnsolvableError
+from quadrics.cli import ZETA_NAMES
 from quadrics.engine import (
     AmbiguousSolveError, RingElement, annihilator_check, multiply, normal_form,
     scalar_multiple, solve_with_coefficients, tau_transfer, verify_presentation,
 )
 from quadrics.presentation import (
-    FixedTuple, NoFiniteTableError, SpacePresentation, coset_basis,
+    FixedTuple, NoFiniteTableError, SpacePresentation,
     load_presentation, mono_mul, mono_str,
 )
 from quadrics.nonequiv import NonequivClass, TruncatedRing
@@ -94,7 +96,7 @@ def test_xp_kills_two_q_bd1_classes_that_are_no_x_multiples():
     for z in (elt(bd1, z00=1, z11=-1, xp=1), elt(bd1, z00=1, xp=1)):
         assert annihilator_check(bd1, z) == (True, False)
         monos = (mono_mul(x, s, bd1.letter_order)
-                 for s in coset_basis(bd1, z.grading - bd1.mono_grading(x)))
+                 for s in bd1.coset_basis(z.grading - bd1.mono_grading(x)))
         family = engine._dressed_slots(
             z.grading, *bd1._graded_slots(z.grading.coset_key(), monos))
         with pytest.raises(UnsolvableError, match="1 is not a multiple of 2"):
@@ -233,9 +235,65 @@ def test_a_two_torsion_term_is_not_dropped_by_a_re_solve():
 
 
 def test_step_bound_trips_loudly(monkeypatch):
+    # a torsion-capable degree, so the product is rewritten
     monkeypatch.setattr(engine, "DEFAULT_STEP_BOUND", 1)
     with pytest.raises(RuntimeError, match="STEP_BOUND=1 "):
-        multiply(elt(BD2, x=1), elt(BD2, x=1))
+        multiply(elt(BD2, z00=1, z1=1, xp=1), elt(BD2, z11=1, divq=1, xp=1))
+
+
+def _torsion_free_table(space, grading):
+    """Whether `grading` has a finite table none of whose slots has a gap
+    (a, b) that is the degree of some e^k*xi^j (a < 0, a even, a + b > 0)."""
+    try:
+        slots = space.coset_basis(grading)
+    except NoFiniteTableError:
+        return False
+    for slot in slots:
+        a, b = (grading - space.mono_grading(slot)).to_ro_c2()
+        if a < 0 and a % 2 == 0 and a + b > 0:
+            return False
+    return True
+
+
+def test_products_in_torsion_free_degrees_are_the_solve_of_their_evaluations():
+    # evaluation decides the class where no slot can carry a 2-torsion
+    # class, so such a product ends even where the rules would cycle
+    rng = random.Random(23)
+    spaces = [load_presentation(name, q) for name, q in (
+        ("X1q", 16), ("Q_BD", 2), ("Q_BD", 16), ("Q_DD", 3), ("Q_DD", 16),
+        ("Q22", None), ("Gr222", None))]
+
+    def factor(space):
+        letters = [n for n in space.letter_order if n not in ZETA_NAMES]
+        while True:
+            exps = {}
+            for name in rng.choices(letters, k=rng.randint(1, 2)):
+                exps[name] = exps.get(name, 0) + 1
+            for name in space.letter_order:
+                if name in ZETA_NAMES:
+                    exps[name] = rng.randint(-1, 1)
+            mono = space.mono(exps)
+            if space.is_admissible(mono):
+                return RingElement.from_mono(space, mono)
+
+    dd3 = spaces[3]
+    pairs = [(parse("(-1)*e^3*z00^-2*cw*cxw^2*x").to_element(dd3),
+              parse("(-1-3*g)*z00*z11^-1*cw*xp").to_element(dd3))]
+    pairs += [(factor(sp), factor(sp)) for sp in (rng.choice(spaces) for _ in range(1000))]
+    checked = 0
+    for u, v in pairs:
+        grading = u.grading + v.grading
+        if not _torsion_free_table(u.space, grading):
+            continue
+        rho, fix = (a * b for a, b in zip(u.evaluate(), v.evaluate()))
+        assert multiply(u, v) == solve_with_coefficients(u.space, grading, rho, fix)[0], (u, v)
+        checked += 1
+    assert checked > 300
+    assert multiply(*pairs[0]).is_zero()  # a step-bound trip when it was rewritten
+    # a torsion-capable degree is still rewritten, and keeps its torsion terms
+    u, v = elt(BD2, z00=1, z1=1, xp=1), elt(BD2, z11=1, divq=1, xp=1)
+    assert not _torsion_free_table(BD2, u.grading + v.grading)
+    assert str(multiply(u, v)) == "e^6*xi*z1^-2*divq*x + e^8*xi*z1^-2*divq^2"
 
 
 def test_evaluation_refuses_an_inadmissible_monomial():
@@ -382,7 +440,7 @@ def test_solve_round_trips_on_sampled_cosets():
         sp = load_presentation(name, q)
         for _ in range(4):
             key = (rng.randint(-2, 2), rng.randint(-2, 2))
-            for m in coset_basis(sp, key):
+            for m in sp.coset_basis(key):
                 rho, fix = sp.eval_mono(m)
                 el = solve_with_coefficients(sp, sp.mono_grading(m), rho, fix)[0]
                 assert el == RingElement.from_mono(sp, m), (sp.name, mono_str(m))
@@ -577,7 +635,7 @@ def test_solves_match_the_dense_system(name, q):
     sp = load_presentation(name, q)
     unique = 0
     for key in engine._sample_keys(sp):
-        for m in coset_basis(sp, key):
+        for m in sp.coset_basis(key):
             for shift in ((0, 0), (0, 1), (0, -2), (2, -2), (-2, 2)):
                 template, _ = scalar_dressing(shift)
                 rho, fix = sp.eval_mono(m)
@@ -598,7 +656,7 @@ def test_a_far_q22_coset_is_unambiguous_and_gives_its_slots_back():
     # a far coset whose slots use x0: its table spans, so no solve is ambiguous
     q22 = load_presentation("Q22")
     assert engine._singular_sides(q22, (-2, -2, -2)) == []
-    for m in coset_basis(q22, (-2, -2, -2)):
+    for m in q22.coset_basis((-2, -2, -2)):
         el, _, ambiguous = solve_with_coefficients(q22, q22.mono_grading(m), *q22.eval_mono(m))
         assert not ambiguous
         assert el == RingElement.from_mono(q22, m)
@@ -708,7 +766,7 @@ def test_only_a_missing_table_keeps_the_reduced_form(monkeypatch):
     def broken(self, key):
         raise ValueError("no table for this coset")
 
-    monkeypatch.setattr(SpacePresentation, "coset_basis", broken)
+    monkeypatch.setattr(SpacePresentation, "coset_table", broken)
     with pytest.raises(ValueError, match="no table for this coset"):
         normal_form(elt(BD2, x=1))
 
@@ -859,10 +917,17 @@ def test_the_verify_memo_changes_no_verdict():
 
 def test_verify_decides_each_distinct_slot_matrix_once(monkeypatch):
     # a guard on the memo, with no timing in it: one _dual per distinct rho
-    # column list and per distinct fixed column list of the sampled tables
+    # column list and per distinct fixed column list of the sampled tables,
+    # counting the coset-tables check's calls only (verify's products solve)
     calls = []
     dual = engine._dual
-    monkeypatch.setattr(engine, "_dual", lambda columns: calls.append(columns) or dual(columns))
+
+    def counted(columns):
+        if sys._getframe(1).f_code is engine._singular_sides.__code__:
+            calls.append(columns)
+        return dual(columns)
+
+    monkeypatch.setattr(engine, "_dual", counted)
     bd16 = presentation._build_quadric("BD", 16)
     assert verify_presentation(bd16)["ok"]
     keys = engine._sample_keys(bd16)

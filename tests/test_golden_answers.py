@@ -13,6 +13,9 @@ changes none of it.
 Regenerate the file only from a commit whose answers are known good:
 
     PYTHONPATH=src python tests/test_golden_answers.py --regenerate
+
+It prints each entry that changed, as "section key: old -> new", before it
+writes, so a change can show which answers moved.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import random
 import sys
 from pathlib import Path
 
-from quadrics import (BurnsideScalar, RingElement, coset_basis, load_presentation,
+from quadrics import (BurnsideScalar, RingElement, load_presentation,
                       mono_str, run, scalar_dressing, solve_with_coefficients)
 
 DATA = Path(__file__).parent / "data" / "golden_answers.json"
@@ -99,7 +102,7 @@ def solve_answers() -> list[dict]:
         space, tables = load_presentation(name, q), []
         for key in itertools.product(range(-3, 4), repeat=len(space.group.labels) - 1):
             try:
-                table = coset_basis(space, key)
+                table = space.coset_basis(key)
             except (ValueError, AssertionError):
                 continue  # no finite table, or not a coset of this space
             if table:
@@ -167,7 +170,7 @@ def nf_expressions() -> list[list[str]]:
         space, tables = load_presentation(name, q), []
         for key in itertools.product(range(-2, 3), repeat=len(space.group.labels) - 1):
             try:
-                table = coset_basis(space, key)
+                table = space.coset_basis(key)
             except (ValueError, AssertionError):
                 continue
             if table:
@@ -267,11 +270,35 @@ def test_plain_text_outputs_are_unchanged():
     assert text_answers() == golden
 
 
+def changed_entries(old: dict, new: dict) -> list[str]:
+    """One line per entry that differs, as "section key: old -> new"; a
+    missing entry reads None, and a list section is keyed by index."""
+    lines = []
+    for section in dict.fromkeys([*old, *new]):
+        before, after = (dict(enumerate(part)) if isinstance(part, list) else part
+                         for part in (old.get(section, {}), new.get(section, {})))
+        for key in dict.fromkeys([*before, *after]):
+            if before.get(key) != after.get(key):
+                lines.append(f"{section} {key!r}: {before.get(key)!r} -> {after.get(key)!r}")
+    return lines
+
+
+def test_regeneration_names_each_changed_entry():
+    old = {"text": {"a": "exit 0", "b": "exit 1"}, "solve": [{"x": 1}]}
+    new = {"text": {"a": "exit 0", "b": "exit 0"}, "solve": [{"x": 1}, {"x": 2}]}
+    assert changed_entries(old, new) == ["text 'b': 'exit 1' -> 'exit 0'",
+                                         "solve 1: None -> {'x': 2}"]
+    assert changed_entries(new, new) == []
+
+
 def regenerate() -> None:
-    DATA.parent.mkdir(exist_ok=True)
+    """Print each entry that changes, then rewrite the file."""
     data = {"verify": verify_answers(), "lines27": lines27_answers(),
             "solve": solve_answers(), "tables": table_answers(),
             "text": text_answers()}
+    for line in changed_entries(_golden() if DATA.exists() else {}, data):
+        print(line)
+    DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 

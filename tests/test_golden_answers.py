@@ -62,6 +62,14 @@ SOLVE_ARGV = (
     ["Q22", "--coset=-2,-2,-2", "--rho", "1", "--fix", "0;1;1;1"],
     ["Q22", "--coset=-1,1,0", "--rho", "x1", "--fix", "0;0;1;0"],
     ["Q_BD", "--q", "3", "--coset", "0,0", "--rho", "2*y - c^3", "--fix", "0;1;y"],
+    # table solves that fail: inconsistent, a key off the degree's
+    # columns, and no integer point on four spaces
+    ["Q_BD", "--q", "2", "--coset", "0,0", "--rho", "2*c", "--fix", "0;0;1", "--degree", "2,0"],
+    ["Q_BD", "--q", "2", "--coset", "0,0", "--rho", "c^2", "--fix", "0;0;0", "--degree", "2,0"],
+    ["Q_BD", "--q", "2", "--coset", "0,0", "--rho", "c", "--fix", "0;0;0", "--degree", "2,0"],
+    ["Q_DD", "--q", "3", "--coset", "0,0", "--rho", "c", "--fix", "0;0;0", "--degree", "2,0"],
+    ["X1q", "--q", "4", "--coset", "0", "--rho", "3*c", "--fix", "0;c"],
+    ["Gr222", "--coset", "0,0", "--rho", "c", "--fix", "0;0;0", "--degree", "2,0"],
 )
 
 

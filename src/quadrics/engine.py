@@ -21,11 +21,10 @@ integer unknowns, and only a slot whose gap (a, b) to the target lies on
 a = 0 or a + b = 0 can carry one (`_lines`).  A table solve reads the
 target's coordinates in the table's dual basis, the integer inverses of
 its rho and fixed slot matrices (`_dual`), and solves each slot on its
-own (`_read_coordinates`); a unimodular change of basis keeps the integer
-and the rational solution sets, so the answers and the errors are the
-lattice's.  An ansatz, and a table whose dual does not build, go to the
-lattice: `_restrict` cuts the identity by the homogenized equations
-(`_kernel`), then by t = 1, and a non-zero kernel is an
+own (`_read_coordinates`): it places the target or declines.  An ansatz,
+and every target the read declines, go to the lattice, which decides and
+words every failure: `_restrict` cuts the identity by the homogenized
+equations (`_kernel`), then by t = 1, and a non-zero kernel is an
 AmbiguousSolveError.
 
 The slot matrices are almost permutation matrices, so a dual is built
@@ -56,7 +55,6 @@ candidates and verify's table slots skip the admissibility test.
 
 from __future__ import annotations
 
-from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -342,9 +340,6 @@ class AmbiguousSolveError(UnsolvableError):
     """The evaluation pair does not pin down the coefficients uniquely."""
 
 
-_INCONSISTENT = "evaluation targets are inconsistent with the basis"
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(d, s, t) with s*a + t*b = d and |d| = gcd(a, b)."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -380,7 +375,7 @@ def _restrict(x0: list[int], basis: list[list[int]], row: list[int],
     at = sum(map(mul, row, x0))
     if step is None:
         if at != target:
-            raise UnsolvableError(_INCONSISTENT)
+            raise UnsolvableError("evaluation targets are inconsistent with the basis")
         return x0, basis, 1
     shift, rest = divmod(target - at, g)
     if rest:
@@ -623,20 +618,20 @@ def _coordinates(dual: Dual, classes: Iterable[NonequivClass], n: int) -> list[i
 def _read_coordinates(space: SpacePresentation,
                       lines: list[tuple[Mono, int, int, PointScalar | None]],
                       rho_target: NonequivClass,
-                      fix_target: FixedTuple) -> list[BurnsideScalar | int] | None:
-    """The coefficients of the dressed slots of `lines` (see _lines), read
-    off the target's coordinates y on the rho columns and z on the fixed
-    columns; None when a dual does not build.
+                      fix_target: FixedTuple) -> list[int] | None:
+    """The integer unknowns of the dressed slots of `lines` (see _lines), in
+    _equations' order, read off the target's coordinates y on the rho
+    columns and z on the fixed columns; None when the read cannot place the
+    target, which the lattice then decides and words.
 
     Classes are homogeneous, so only the slots of the target's degree
     count, a + b = 0 on the rho side and a = 0 on the fixed side; their
     columns are whole blocks, and a target key off them is off the span.
     The template 1 has rho and fix multipliers 1, so a + b*g gives a = z
     and b = (y - z)/2; every other template has one zero multiplier, and
-    its slot lies on one side only, so c takes one division; an undressed
-    slot needs y = z = 0.  As on the lattice, a failed zero condition (no
-    rational solution) is reported before a remainder, which names the
-    least denominator.
+    its slot lies on the other side only, so c takes one division; an
+    undressed slot needs y = z = 0.  None also when a dual does not build,
+    or a division leaves a remainder.
     """
     rho_slots = [mono for mono, a, b, _ in lines if not a + b]
     fix_slots = [mono for mono, a, _, _ in lines if not a]
@@ -646,41 +641,37 @@ def _read_coordinates(space: SpacePresentation,
     y = _coordinates(rho_dual, (rho_target,), len(rho_slots))
     z = _coordinates(fix_dual, fix_target.parts, len(fix_slots))
     if y is None or z is None:
-        raise UnsolvableError(_INCONSISTENT)
+        return None
     ys, zs = iter(y), iter(z)
-    quotients, burnside, inconsistent = [], [], False
+    x = []
     for _, a, b, template in lines:
         yi = 0 if a + b else next(ys)
         zi = 0 if a else next(zs)
         if template is None:
-            inconsistent = inconsistent or yi or zi
+            if yi or zi:
+                return None
             continue
-        r, f = template.rho_multiplier(), template.fix_multiplier()
-        burnside.append(r and f)
-        if r and f:
-            quotients += ((zi, 1), (yi - zi, 2))
+        if template.shape() == (0, 0, 0, 0):
+            x.append(zi)
+            n, d = yi - zi, 2
         else:
-            quotients.append((yi, r) if r else (zi, f))
-    if inconsistent:
-        raise UnsolvableError(_INCONSISTENT)
-    if any(n % d for n, d in quotients):
-        denominator = 1
-        for n, d in quotients:
-            denominator = lcm(denominator, d // gcd(n, d))
-        raise UnsolvableError(f"no integer point: 1 is not a multiple of {denominator}")
-    values = iter([n // d for n, d in quotients])
-    return [BurnsideScalar(next(values), next(values)) if two else next(values)
-            for two in burnside]
+            r = template.rho_multiplier()
+            n, d = (yi, r) if r else (zi, template.fix_multiplier())
+        if n % d:
+            return None
+        x.append(n // d)
+    return x
 
 
 def _lattice_coefficients(space: SpacePresentation, grading: GradingElement,
                           candidates: list[tuple[PointScalar, Mono]],
                           rho_target: NonequivClass,
-                          fix_target: FixedTuple) -> list[BurnsideScalar | int]:
-    """The candidates' coefficients from the integer solve of _equations'
-    rows, plus a zero row per key that only the target supports; a
-    non-zero kernel raises AmbiguousSolveError, naming the free candidates."""
-    burnside, unknowns, table = _equations(space, candidates)
+                          fix_target: FixedTuple) -> list[int]:
+    """The integer unknowns of _equations' rows, plus a zero row per key
+    that only the target supports, from the integer solve; it decides and
+    words every failure, and a non-zero kernel raises AmbiguousSolveError,
+    naming the free candidates."""
+    _, unknowns, table = _equations(space, candidates)
     ncols = len(unknowns)
     targets = (rho_target, *fix_target.parts)
     for ci, target in enumerate(targets):
@@ -696,9 +687,7 @@ def _lattice_coefficients(space: SpacePresentation, grading: GradingElement,
         raise AmbiguousSolveError(
             f"underdetermined solve in degree {grading} of {space.name}: the "
             f"evaluation pair does not separate {', '.join(free)}")
-    values = iter(x)
-    return [BurnsideScalar(next(values), next(values)) if two else next(values)
-            for two in burnside]
+    return x
 
 
 def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
@@ -717,11 +706,10 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     included; the flag is always False, and stays for callers that unpack
     it.
 
-    A table solve reads coordinates (_read_coordinates) when the duals of
-    its degree build, as on every table verify samples; an ansatz, and a
-    table whose duals do not build, go to the lattice
-    (_lattice_coefficients), where a non-zero kernel raises
-    AmbiguousSolveError.  Both give the same answer, or the same error.
+    A table solve first reads coordinates (_read_coordinates), which places
+    the target or declines.  An ansatz, and every target the read declines,
+    go to the lattice (_lattice_coefficients), which decides and words every
+    failure; a non-zero kernel raises AmbiguousSolveError.
 
     A slot whose gap is the degree of a 2-torsion class e^k*xi^j (k, j >= 1)
     has no candidate at all: the class evaluates to 0 under both maps, so
@@ -740,19 +728,19 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
             raise UnsolvableError(f"nothing lives in degree {grading} of {space.name}")
         return RingElement.zero(space, grading), (), False
 
-    try:
-        coefficients = None if ansatz is not None else _read_coordinates(
-            space, lines, rho_target, fix_target)
-        if coefficients is None:
-            coefficients = _lattice_coefficients(space, grading, candidates,
-                                                 rho_target, fix_target)
-    except AmbiguousSolveError:
-        raise
-    except UnsolvableError as err:  # re-raised as is, so its context stays
-        err.args = (f"{err} in degree {grading} of {space.name}",)
-        raise
-    records = tuple((template, mono, coeff)
-                    for (template, mono), coeff in zip(candidates, coefficients))
+    x = None if ansatz is not None else _read_coordinates(space, lines, rho_target, fix_target)
+    if x is None:
+        try:
+            x = _lattice_coefficients(space, grading, candidates, rho_target, fix_target)
+        except AmbiguousSolveError:
+            raise
+        except UnsolvableError as err:  # re-raised as is, so its context stays
+            err.args = (f"{err} in degree {grading} of {space.name}",)
+            raise
+    values = iter(x)
+    records = tuple((template, mono, BurnsideScalar(next(values), next(values))
+                     if template.shape() == (0, 0, 0, 0) else next(values))
+                    for template, mono in candidates)
     terms: dict[Mono, PointScalar] = {}
     for template, mono, coeff in records:
         _accumulate(terms, mono, template.scale(coeff))

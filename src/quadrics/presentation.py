@@ -205,7 +205,7 @@ class SpacePresentation:
     __slots__ = (
         "name", "family", "q", "group", "underlying", "fixed_rings",
         "letters", "letter_order", "invertible", "rules", "relations",
-        "derived", "units", "lemma_ansatz", "fibre",
+        "units", "lemma_ansatz", "fibre",
         "pushforwards", "pushforward_targets", "pushforward_ansatz",
         "identifications", "annihilator_pair",
         "_table_cache", "_eval_cache", "_powers", "_classes", "_products",
@@ -214,7 +214,7 @@ class SpacePresentation:
 
     def __init__(self, name, family, q, group, underlying, fixed_rings,
                  letters, invertible=(), rules=(), relations=(),
-                 derived=None, units=(), lemma_ansatz=None,
+                 units=(), lemma_ansatz=None,
                  fibre=_IDENTITY_FIBRE, pushforwards=None, pushforward_targets=None,
                  pushforward_ansatz=None, identifications=None,
                  annihilator_pair=None):
@@ -229,7 +229,6 @@ class SpacePresentation:
         self.invertible = frozenset(invertible)
         self.rules = tuple(rules)
         self.relations = tuple(relations)
-        self.derived = dict(derived or {})
         self.units = tuple(units)
         self.lemma_ansatz = lemma_ansatz
         self.fibre = fibre
@@ -647,10 +646,9 @@ def _build_bu1() -> SpacePresentation:
         ("unit-0", t((_ONE, {}), (-_K1, {"z0": 1, "cw": 1})),
          t((_UNIT_MINUS_KAPPA, {}), (_K1, {"z1": 1, "cxw": 1}))),
     )
-    derived = {"eps0": t((_K1, {"z0": 1, "cw": 1}))}
     return SpacePresentation(
         "BU1", "BU1", None, group, und, rings, letters,
-        rules=rules, units=units, derived=derived)
+        rules=rules, units=units)
 
 
 def _build_x1q(q: int) -> SpacePresentation:
@@ -926,15 +924,20 @@ _FAMILIES = {
 }
 
 
-@lru_cache(maxsize=None)
 def load_presentation(name: str, q: int | None = None) -> SpacePresentation:
     """Construct (and cache) the presentation of one space.
 
     Q_BD(q) is the quadric of complex dimension 2q + 1, Q_DD(q) the one of
     dimension 2q (q >= 2); Gr222 and Q22 are the q = 2 and q = 1 even
     special cases with their own letters, and X1q/BU1 are the building
-    blocks they restrict to.
+    blocks they restrict to.  The cache is keyed on the pair (name, q),
+    so every spelling of a call gives the same space.
     """
+    return _load(name, q)
+
+
+@lru_cache(maxsize=None)
+def _load(name: str, q: int | None) -> SpacePresentation:
     if name not in _FAMILIES:
         raise ValueError(f"unknown space {name!r}; expected one of {sorted(_FAMILIES)}")
     lo, hi, build = _FAMILIES[name]
@@ -947,3 +950,6 @@ def load_presentation(name: str, q: int | None = None) -> SpacePresentation:
     if not (lo <= q <= hi):
         raise ValueError(f"q={q} out of range [{lo}, {hi}] for {name}")
     return build(q)
+
+
+load_presentation.cache_info = _load.cache_info  # the hits, as on any lru_cache

@@ -208,7 +208,8 @@ def test_08_units():
     ))
     assert multiply(u, u) == RingElement.one(bd0)
     bu1 = load_presentation("BU1")
-    eps = RingElement.from_terms(bu1, bu1.derived["eps0"])
+    eps = RingElement.from_terms(  # e^-2*kappa*z0*cw
+        bu1, ((PointScalar.kappa_negative(1), bu1.mono(z0=1, cw=1)),))
     one_minus_eps = RingElement.one(bu1) - eps
     (uname, lhs, rhs), = bu1.units
     assert RingElement.from_terms(bu1, lhs) == one_minus_eps

@@ -517,7 +517,8 @@ def test_the_coordinate_read_and_the_lattice_solve_agree(monkeypatch):
     # seeded combinations of dressed slots, and targets perturbed by one
     # slot's evaluation on one side (an undressed slot, an odd Burnside
     # difference, a wrong side, or an odd multiple of a 2) or by one basis
-    # key: a table solve reads coordinates, the same candidates passed as
+    # key: a table solve reads coordinates and calls no lattice when it
+    # answers, and one lattice when it fails; the same candidates passed as
     # an ansatz go through the lattice, and the two must agree
     lattice, calls = engine._lattice_coefficients, []
     monkeypatch.setattr(engine, "_lattice_coefficients",
@@ -556,9 +557,12 @@ def test_the_coordinate_read_and_the_lattice_solve_agree(monkeypatch):
                     else:
                         rho = rho + extra
                 read = _solved_or_error(sp, grading, rho, fix)
-                assert not calls, (sp.name, str(grading))  # the table solve read coordinates
-                assert read == _solved_or_error(sp, grading, rho, fix, ansatz=candidates), (
-                    sp.name, str(grading), kind)
+                where = (sp.name, str(grading), kind)
+                if read[0] is UnsolvableError:  # the read declined, and the lattice worded it
+                    assert len(calls) == 1, where
+                else:  # the table solve read coordinates
+                    assert not calls, where
+                assert read == _solved_or_error(sp, grading, rho, fix, ansatz=candidates), where
                 calls.clear()
                 outcomes.add(read[1].split(" in degree")[0] if read[0] is UnsolvableError
                              else "solved" if read[0].terms else "zero")

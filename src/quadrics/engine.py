@@ -18,10 +18,12 @@ machine checks: `verify_presentation` replays all of them.
 
 Solving is over the integers: a Burnside coefficient a + b*g is two
 integer unknowns, and only a slot whose gap (a, b) to the target lies on
-a = 0 or a + b = 0 can carry one (`_lines`).  A table solve reads the
-target's coordinates in the table's dual basis, the integer inverses of
-its rho and fixed slot matrices (`_dual`), and solves each slot on its
-own (`_read_coordinates`): it places the target or declines.  An ansatz,
+a = 0 or a + b = 0 can carry one (`_lines`), dressed by its gap's one
+template (`_template`), which the coefficient scales without canonicalizing
+it again (`PointScalar.scale`).  A table solve reads the target's
+coordinates in the table's dual basis, the integer inverses of its rho and
+fixed slot matrices (`_dual`), and solves each slot on its own
+(`_read_coordinates`): it places the target or declines.  An ansatz,
 and every target the read declines, go to the lattice, which decides and
 words every failure: `_restrict` cuts the identity by the homogenized
 equations (`_kernel`), then by t = 1, and a non-zero kernel is an
@@ -55,6 +57,7 @@ candidates and verify's table slots skip the admissibility test.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -207,10 +210,8 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, RingElement):
             return multiply(self, other)
-        if isinstance(other, int):
-            other = BurnsideScalar(other, 0)
-        if isinstance(other, BurnsideScalar):
-            other = PointScalar.from_burnside(other)
+        if isinstance(other, (int, BurnsideScalar)):
+            other = ONE.scale(other)
         if isinstance(other, PointScalar):
             return scalar_multiple(self, other)
         return NotImplemented
@@ -545,10 +546,10 @@ def _lines(grading: GradingElement, monos: tuple[Mono, ...],
            degrees: tuple[int, ...]) -> list[tuple[Mono, int, int, PointScalar | None]]:
     """(slot, a, b, template) per slot whose gap (a, b) to `grading` lies on
     a = 0 or a + b = 0, the only lines where the point ring has a class of
-    infinite order, in slot order; the template is scalar_dressing's, or
-    None.  `monos` and their flat (one, sigma) `degrees` come from
-    coset_table or section_family, so the gap is an int pair, and a slot
-    off the lines drops out on two int tests.
+    infinite order, in slot order; the template is scalar_dressing's, read
+    once per gap (_template), or None.  `monos` and their flat (one, sigma)
+    `degrees` come from coset_table or section_family, so the gap is an int
+    pair, and a slot off the lines drops out on two int tests.
     """
     one, sigma = grading.one, grading.sigma
     out = []
@@ -556,9 +557,15 @@ def _lines(grading: GradingElement, monos: tuple[Mono, ...],
     for mono, slot_one, slot_sigma in zip(monos, pairs, pairs):
         a, b = one - slot_one, sigma - slot_sigma
         if not a or not a + b:
-            dressed = scalar_dressing((a, b))
-            out.append((mono, a, b, dressed and dressed[0]))
+            out.append((mono, a, b, _template(a, b)))
     return out
+
+
+@lru_cache(maxsize=None)
+def _template(a: int, b: int) -> PointScalar | None:
+    """scalar_dressing's template for an on-line gap (a, b), one per gap."""
+    dressed = scalar_dressing((a, b))
+    return dressed and dressed[0]
 
 
 def _dressed_slots(grading: GradingElement, monos: tuple[Mono, ...],
@@ -571,16 +578,15 @@ def _dressed_slots(grading: GradingElement, monos: tuple[Mono, ...],
 def _equations(space: SpacePresentation, candidates: list[tuple[PointScalar, Mono]]):
     """The columns of the candidates' weighted evaluations, in one scatter pass.
 
-    Returns (burnside, unknowns, table): per candidate whether its template
-    is a plain Burnside scalar; per unknown (candidate, rho weight, fix
-    weight), where a + b*g is a, weighted (1, 1), and b, weighted (2, 0);
-    and a row of length len(unknowns) per (component, basis key) that some
-    unknown supports, component 0 being rho and ci > 0 fixed part ci - 1.
+    Returns (unknowns, table): per unknown (candidate, rho weight, fix
+    weight), where a + b*g of a plain Burnside template is a, weighted
+    (1, 1), and b, weighted (2, 0); and a row of length len(unknowns) per
+    (component, basis key) that some unknown supports, component 0 being
+    rho and ci > 0 fixed part ci - 1.
     """
-    burnside = [template.shape() == (0, 0, 0, 0) for template, _ in candidates]
     unknowns: list[tuple[int, int, int]] = []
-    for k, two in enumerate(burnside):
-        unknowns += [(k, 1, 1), (k, 2, 0)] if two else [(k, 1, 1)]
+    for k, (template, _) in enumerate(candidates):
+        unknowns += [(k, 1, 1), (k, 2, 0)] if template.shape() == (0, 0, 0, 0) else [(k, 1, 1)]
     ncols = len(unknowns)
     evals = [space.eval_trusted(mono) for _, mono in candidates]
     scales = [(t.rho_multiplier(), t.fix_multiplier()) for t, _ in candidates]
@@ -595,7 +601,7 @@ def _equations(space: SpacePresentation, candidates: list[tuple[PointScalar, Mon
                     if row is None:
                         row = table[ci, key] = [0] * ncols
                     row[j] = w * c
-    return burnside, unknowns, table
+    return unknowns, table
 
 
 def _coordinates(dual: Dual, classes: Iterable[NonequivClass], n: int) -> list[int] | None:
@@ -671,7 +677,7 @@ def _lattice_coefficients(space: SpacePresentation, grading: GradingElement,
     that only the target supports, from the integer solve; it decides and
     words every failure, and a non-zero kernel raises AmbiguousSolveError,
     naming the free candidates."""
-    _, unknowns, table = _equations(space, candidates)
+    unknowns, table = _equations(space, candidates)
     ncols = len(unknowns)
     targets = (rho_target, *fix_target.parts)
     for ci, target in enumerate(targets):
@@ -696,15 +702,15 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     """Solve (rho_target, fix_target) = sum_i c_i * template_i * mono_i over Z.
 
     Without an ansatz the candidates are the coset-table slots of `grading`,
-    each dressed with the unique point-ring scalar filling the degree gap
-    (slots whose gap supports nothing drop out; see _lines).  An
-    ansatz comes from outside and passes RingElement.from_terms first.  A
-    coefficient is a + b*g in the Burnside ring, two integer unknowns,
-    where the template is a plain Burnside scalar, and an integer
-    otherwise.  Returns (element, records, ambiguous) with one (template,
-    mono, coefficient) record per candidate, in candidate order, zeros
-    included; the flag is always False, and stays for callers that unpack
-    it.
+    each dressed with the unique point-ring scalar filling the degree gap,
+    one object per gap (_lines, _template).  An ansatz comes from outside
+    and passes RingElement.from_terms first.  A coefficient is a + b*g in
+    the Burnside ring, two integer unknowns, where the template is a plain
+    Burnside scalar, and an integer otherwise.  Returns (element, records,
+    ambiguous) with one (template, mono, coefficient) record per candidate,
+    in candidate order, zeros included; only a non-zero coefficient builds
+    a term, by PointScalar.scale.  The flag is always False, and stays for
+    callers that unpack it.
 
     A table solve first reads coordinates (_read_coordinates), which places
     the target or declines.  An ansatz, and every target the read declines,
@@ -743,7 +749,8 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
                     for template, mono in candidates)
     terms: dict[Mono, PointScalar] = {}
     for template, mono, coeff in records:
-        _accumulate(terms, mono, template.scale(coeff))
+        if coeff:
+            _accumulate(terms, mono, template.scale(coeff))
     return RingElement(space, grading, terms), records, False
 
 

@@ -187,8 +187,16 @@ class PointScalar:
         return PointScalar(coeff, self.e + other.e, self.xi + other.xi,
                            self.tau + other.tau, self.kneg + other.kneg)
 
-    def scale(self, b: BurnsideScalar) -> "PointScalar":
-        return PointScalar(self.coeff * b, self.e, self.xi, self.tau, self.kneg)
+    def scale(self, b: BurnsideScalar | int) -> "PointScalar":
+        """self * b, built as it stands where it is canonical (ZERO for b = 0, any b
+        on shape (0, 0, 0, 0), an int b without e^k*xi^j); else canonicalized."""
+        if not b:
+            return ZERO
+        if self.shape() == (0, 0, 0, 0) or isinstance(b, int) and not (self.e and self.xi):
+            out = object.__new__(PointScalar)
+            out.coeff, out.e, out.xi, out.tau, out.kneg = self.coeff * b, *self.shape()
+            return out
+        return PointScalar(self.coeff * b, *self.shape())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PointScalar) and self.coeff == other.coeff

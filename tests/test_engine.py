@@ -455,13 +455,56 @@ def test_the_round_trip_kernel_test_agrees_with_the_solve():
             assert engine._singular_sides(sp, key) == [], (sp.name, key)
             for slot in sp.coset_basis(key):
                 grading = sp.mono_grading(slot)
-                _, unknowns, table = engine._equations(
+                unknowns, table = engine._equations(
                     sp, engine._dressed_slots(grading, *sp.coset_table(grading)))
                 where = (sp.name, mono_str(slot))
                 assert engine._kernel(list(table.values()), len(unknowns))[0] == [], where
                 solved, _, ambiguous = solve_with_coefficients(
                     sp, grading, *sp.eval_mono(slot))
                 assert solved.terms == {slot: ONE} and not ambiguous, where
+
+
+def test_the_template_memo_keeps_one_template_per_on_line_gap(monkeypatch):
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if a and a + b:
+                continue
+            dressed, template = scalar_dressing((a, b)), engine._template(a, b)
+            assert template == (dressed and dressed[0]), (a, b)
+            assert engine._template(a, b) is template, (a, b)
+    # a whole table's _lines fills the memo with on-line gaps only
+    sp = load_presentation("Q_BD", 5)
+    grading = sp.mono_grading(sp.coset_basis((1, 0))[0]) + sp.group.element(0, 1)
+    table = sp.coset_table(grading)
+    asked = []
+    monkeypatch.setattr(engine, "scalar_dressing",
+                        lambda gap: asked.append(gap) or scalar_dressing(gap))
+    engine._template.cache_clear()
+    lines = engine._lines(grading, *table)
+    gaps = {(grading - sp.mono_grading(m)).to_ro_c2() for m in table[0]}
+    assert any(a and a + b for a, b in gaps)  # the table has off-line slots
+    assert set(asked) == {(a, b) for a, b in gaps if not a or not a + b}
+    assert engine._template.cache_info().currsize == len(asked)
+    assert all(t is engine._template(a, b) for _, a, b, t in lines)
+
+
+def test_a_warm_table_solve_constructs_no_point_scalar(monkeypatch):
+    # the mechanism of the warm solve, counted rather than timed: templates
+    # come from the memo and their scaling is canonical as it stands
+    sp = load_presentation("Q_BD", 5)
+    solves = [(slot, sp.mono_grading(slot), *sp.eval_mono(slot))
+              for key in engine._sample_keys(sp) for slot in sp.coset_basis(key)]
+    for _, grading, rho, fix in solves:  # warm up
+        solve_with_coefficients(sp, grading, rho, fix)
+    built = []
+    init = PointScalar.__init__
+    monkeypatch.setattr(PointScalar, "__init__",
+                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    for slot, grading, rho, fix in solves:
+        assert solve_with_coefficients(sp, grading, rho, fix)[0].terms == {slot: ONE}
+    assert len(solves) == 60 and built == []
+    PointScalar.integer(2)
+    assert len(built) == 1  # the wrapper counts
 
 
 # the spanning grid: [-3, 3] per key component

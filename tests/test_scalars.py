@@ -1,5 +1,7 @@
 """Point-ring scalar fragment: canonical collapses, products, dressings."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -118,6 +120,24 @@ def test_multipliers():
     assert (k.rho_multiplier(), k.fix_multiplier()) == (0, 6)
     kap = PointScalar.from_burnside(KAPPA)
     assert (kap.rho_multiplier(), kap.fix_multiplier()) == (0, 2)
+
+
+def test_scaling_equals_the_constructor():
+    # scale builds some products without canonicalizing; every product must
+    # still be the one the constructor makes, torsion shapes and zero included
+    small = range(-2, 3)
+    scalars = set()
+    for a, b, e, xi, tau, kneg in itertools.product(small, small, *[range(3)] * 4):
+        try:
+            scalars.add(PointScalar(B(a, b), e, xi, tau, kneg))
+        except FragmentError:
+            continue
+    multipliers = [*range(-3, 4), *(B(x, y) for x, y in itertools.product(small, small))]
+    for s in scalars:
+        for m in multipliers:
+            got, want = s.scale(m), PointScalar(s.coeff * m, *s.shape())
+            assert (got.coeff.a, got.coeff.b, got.shape()) == (
+                want.coeff.a, want.coeff.b, want.shape()), (s, m)
 
 
 # --- dressing lookup ------------------------------------------------------

@@ -367,7 +367,7 @@ def parse_nonequiv(text: str, ring: TruncatedRing,
     for scalar, mono in parse(text, q).terms:
         exps = dict(mono)
         foreign = [name for name in exps if name not in ring.vars]
-        if scalar.shape() != (0, 0, 0, 0) or scalar.coeff.b:
+        if not scalar.is_burnside() or scalar.coeff.b:
             problem = f"the coefficient {scalar} is not an integer"
         elif foreign:
             problem = (f"unknown variable {foreign[0]!r}; this ring has "

@@ -5,44 +5,28 @@ monomials in the space's letters, homogeneous in the full grading.
 `multiply` is the only product: a normal form is a product by 1, a
 scalar multiple a product by a dressed 1.  Every finite coset table is a
 Z-basis under rho and under fix, so where no slot of a degree can carry a
-2-torsion class e^k*xi^j the evaluation pair decides the class, and the
-product is the solve of the product of the factors' evaluations.  The
-declared rewrite rules run only where evaluation cannot see the class: on
-BU1, on a coset with no finite table, and in a torsion-capable degree; a
-rule fires only where every monomial it produces is admissible, so every
-intermediate is a class.  Classes outside the point-ring fragment
-(scalars.py) are invisible to both paths.  The same solver, fed
-the complementary section's own evaluation or a declared pushforward
-target instead, is what turns the stated section/pushforward lemmas into
-machine checks: `verify_presentation` replays all of them.
+2-torsion class e^k*xi^j the evaluation pair decides the class
+(`_evaluation_decides`): a product there is the solve of the product of
+the factors' evaluations, and verify's `relation:` and `pushforward:`
+checks compare pairs and make one table solve.  The declared rewrite
+rules run only where evaluation cannot see the class; a rule fires only
+where every monomial it produces is admissible, so every intermediate is
+a class.  Classes outside the point-ring fragment (scalars.py) are
+invisible to both paths.  The same solver, fed the complementary
+section's own evaluation or a declared pushforward target, turns the
+stated section/pushforward lemmas into machine checks.
 
 Solving is over the integers: a Burnside coefficient a + b*g is two
-integer unknowns, and only a slot whose gap (a, b) to the target lies on
-a = 0 or a + b = 0 can carry one (`_lines`), dressed by its gap's one
-template (`_template`), which the coefficient scales without canonicalizing
-it again (`PointScalar.scale`).  A table solve reads the target's
-coordinates in the table's dual basis, the integer inverses of its rho and
-fixed slot matrices (`_dual`), and solves each slot on its own
-(`_read_coordinates`): it places the target or declines.  An ansatz,
-and every target the read declines, go to the lattice, which decides and
-words every failure: `_restrict` cuts the identity by the homogenized
-equations (`_kernel`), then by t = 1, and a non-zero kernel is an
-AmbiguousSolveError.
-
-The slot matrices are almost permutation matrices, so a dual is built
-block by block, in integers only.  Classes are homogeneous, so a solve
-reads only the blocks of its degree, each built once per space
-(`_dual_of`).  `verify_presentation` checks that every sampled table is a
-Z-basis under rho and under fix with the same builder: it builds the
-whole dual of each distinct column list once per call and keeps only the
-verdict (`_singular_sides`); that is linear in q.  The dressing 1 enters
-rho as a + 2b and the fixed side as a, and every other one has a non-zero
-multiplier on one side, so such a table admits one rational solution at
-most.
-
-Rewriting is bounded by the constant DEFAULT_STEP_BOUND (rule
-applications per product) and fails loudly rather than silently
-truncating.
+integer unknowns, carried only by a slot whose gap to the target lies on
+a = 0 or a + b = 0 (`_lines`).  A table solve reads the target's
+coordinates in the table's dual basis (`_dual`, built block by block in
+integers, once per space for a degree's blocks, `_dual_of`); it places
+the target or declines.  An ansatz, and every target the read declines,
+go to the lattice (`_integer_solve`), which decides and words every
+failure.  `verify_presentation` checks that every sampled table is a
+Z-basis on both sides with the same builder (`_singular_sides`), linear
+in q.  Rewriting fails loudly past DEFAULT_STEP_BOUND rule applications
+per product rather than silently truncating.
 
 Values are checked once, where they come in: outside terms by
 `RingElement.from_terms`, an ansatz where a solve receives it, an outside
@@ -271,51 +255,56 @@ def _rewrite(space: SpacePresentation, grading: GradingElement,
     return out
 
 
-def _torsion_capable(grading: GradingElement, degrees: tuple[int, ...]) -> bool:
-    """Whether a slot's gap (a, b) to `grading` (flat degrees as in _lines)
-    is the degree of a 2-torsion class e^k*xi^j: a < 0, a even, a + b > 0."""
+def _evaluation_decides(space: SpacePresentation, grading: GradingElement) -> bool | None:
+    """Whether the evaluation pair decides the classes of `grading`: its coset
+    has a finite table, a Z-basis under rho and under fix (verify's
+    `coset-tables`), and no slot's gap (a, b) is the degree of a 2-torsion
+    class e^k*xi^j (a < 0, a even, a + b > 0), which neither map sees.
+    None, not False, where there is no finite table."""
+    try:
+        _, degrees = space.coset_table(grading)
+    except NoFiniteTableError:  # BU1, or a deep bundle coset
+        return None
     pairs = iter(degrees)
     for one, sigma in zip(pairs, pairs):
         a = grading.one - one
         if a < 0 and not a % 2 and a + grading.sigma - sigma > 0:
-            return True
-    return False
+            return False
+    return True
 
 
 def multiply(u: RingElement, v: RingElement) -> RingElement:
-    """u*v.  In a tabled degree with no torsion-capable slot, the solve of
-    the product of the factors' evaluations.  Elsewhere the termwise
-    products rewritten by the declared rules, which preserve evaluation
-    (verify's `rule:` checks); that form stands when there is no table, or
-    it is zero, lies on the table's slots or carries a term e^k*xi^j (which
-    evaluates to 0), and otherwise goes to the same solve.  A termwise
-    scalar product outside the point-ring fragment goes to the solve too,
-    whose errors keep the FragmentError as their context.
+    """u*v: where evaluation decides the degree (_evaluation_decides), the
+    solve of the product of the factors' evaluations, with no termwise
+    product formed.  Elsewhere the termwise products rewritten by the
+    declared rules, which preserve evaluation (verify's `rule:` checks);
+    that form stands when there is no table, or it is zero, carries a term
+    e^k*xi^j (which evaluates to 0) or lies on the table's slots.  Otherwise,
+    or when a termwise scalar product leaves the point-ring fragment, the
+    same solve, whose errors then keep the FragmentError as their context.
     """
     if u.space is not v.space:
         raise ValueError("elements live over different spaces")
     space, grading = u.space, u.grading + v.grading
-    try:
-        slots, degrees = space.coset_table(grading)
-    except NoFiniteTableError:  # BU1, or a deep bundle coset
-        slots = degrees = None
 
     def solved() -> RingElement:
         rho, fix = (a * b for a, b in zip(u.evaluate(), v.evaluate()))
         return solve_with_coefficients(space, grading, rho, fix)[0]
 
+    decides = _evaluation_decides(space, grading)
+    if decides:
+        return solved()
     try:
         terms: dict[Mono, PointScalar] = {}
         for m1, s1 in u.terms.items():
             for m2, s2 in v.terms.items():
                 _accumulate(terms, mono_mul(m1, m2, space.letter_order), s1 * s2)
-        if slots is None or _torsion_capable(grading, degrees):
-            element = RingElement(space, grading, _rewrite(space, grading, terms))
-            if (slots is None or not element.terms or set(slots).issuperset(element.terms)
-                    or any(s.e and s.xi for s in element.terms.values())):
-                return element
+        element = RingElement(space, grading, _rewrite(space, grading, terms))
     except FragmentError:
         return solved()
+    if (decides is None or not element.terms or any(s.e and s.xi for s in element.terms.values())
+            or set(space.coset_basis(grading)).issuperset(element.terms)):
+        return element
     return solved()
 
 
@@ -586,7 +575,7 @@ def _equations(space: SpacePresentation, candidates: list[tuple[PointScalar, Mon
     """
     unknowns: list[tuple[int, int, int]] = []
     for k, (template, _) in enumerate(candidates):
-        unknowns += [(k, 1, 1), (k, 2, 0)] if template.shape() == (0, 0, 0, 0) else [(k, 1, 1)]
+        unknowns += [(k, 1, 1), (k, 2, 0)] if template.is_burnside() else [(k, 1, 1)]
     ncols = len(unknowns)
     evals = [space.eval_trusted(mono) for _, mono in candidates]
     scales = [(t.rho_multiplier(), t.fix_multiplier()) for t, _ in candidates]
@@ -657,7 +646,7 @@ def _read_coordinates(space: SpacePresentation,
             if yi or zi:
                 return None
             continue
-        if template.shape() == (0, 0, 0, 0):
+        if template.is_burnside():
             x.append(zi)
             n, d = yi - zi, 2
         else:
@@ -717,10 +706,8 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     go to the lattice (_lattice_coefficients), which decides and words every
     failure; a non-zero kernel raises AmbiguousSolveError.
 
-    A slot whose gap is the degree of a 2-torsion class e^k*xi^j (k, j >= 1)
-    has no candidate at all: the class evaluates to 0 under both maps, so
-    no solve can see a term on it, and re-solving an element that carries
-    one drops that term without a word.
+    A slot whose gap is the degree of a 2-torsion class e^k*xi^j has no
+    candidate: neither map sees the class, so a re-solve drops such a term.
     """
     if ansatz is None:
         lines = _lines(grading, *space.coset_table(grading))
@@ -745,7 +732,7 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
             raise
     values = iter(x)
     records = tuple((template, mono, BurnsideScalar(next(values), next(values))
-                     if template.shape() == (0, 0, 0, 0) else next(values))
+                     if template.is_burnside() else next(values))
                     for template, mono in candidates)
     terms: dict[Mono, PointScalar] = {}
     for template, mono, coeff in records:
@@ -822,28 +809,36 @@ def verify_presentation(space: SpacePresentation) -> dict:
                 bad.append(f"{name} (component {label})")
     record("letter-degrees", not bad, ", ".join(bad))
 
-    for rel in space.relations:
-        lhs = RingElement.from_terms(space, rel.lhs)
-        rhs = RingElement.from_terms(space, rel.rhs, grading=lhs.grading)
-        ok, detail = lhs.evaluate() == rhs.evaluate(), ""
-        if ok:
-            try:
-                ok = normal_form(lhs) == normal_form(rhs)
-            except ValueError as err:
-                ok, detail = False, str(err)
-        record(f"relation:{rel.name}", ok, detail)
-
-    for rule in space.rules:
-        lhs = RingElement.from_mono(space, rule.lhs)
-        rhs = RingElement.from_terms(space, rule.rhs, grading=lhs.grading)
-        record(f"rule:{rule.name}", lhs.evaluate() == rhs.evaluate())
-
     def record_solved(name: str, check):
         """Record check(); a product or solve that cannot be made fails it."""
         try:
             record(name, check())
         except UnsolvableError as err:
             record(name, False, str(err))
+
+    def same_class(grading: GradingElement, pair, other) -> bool:
+        """Whether two evaluation pairs are one class of `grading`: where
+        evaluation decides the degree (_evaluation_decides) both normal forms
+        are the table solve of the pair, which must place it; elsewhere the
+        pair does not pin the class down, and that is an error."""
+        if not _evaluation_decides(space, grading):
+            raise AmbiguousSolveError(
+                f"evaluation does not decide degree {grading} of {space.name}")
+        if pair != other:
+            return False
+        solve_with_coefficients(space, grading, *pair)  # places the pair, or raises
+        return True
+
+    for rel in space.relations:
+        lhs = RingElement.from_terms(space, rel.lhs)
+        rhs = RingElement.from_terms(space, rel.rhs, grading=lhs.grading)
+        record_solved(f"relation:{rel.name}",
+                      lambda: same_class(lhs.grading, lhs.evaluate(), rhs.evaluate()))
+
+    for rule in space.rules:
+        lhs = RingElement.from_mono(space, rule.lhs)
+        rhs = RingElement.from_terms(space, rule.rhs, grading=lhs.grading)
+        record(f"rule:{rule.name}", lhs.evaluate() == rhs.evaluate())
 
     for name, unit_terms, inverse_terms in space.units:
         record_solved(f"unit:{name}", lambda: multiply(
@@ -863,10 +858,11 @@ def verify_presentation(space: SpacePresentation) -> dict:
     for name, declared in space.pushforwards.items():
         expected = RingElement.from_terms(space, declared)
         # The declared formula may use a different spanning set than the
-        # ansatz (e.g. a zeta_1*c_chi_omega term), so compare normal forms.
-        record_solved(f"pushforward:{name}", lambda: normal_form(solve_with_coefficients(
-            space, expected.grading, *space.pushforward_targets[name],
-            ansatz=space.pushforward_ansatz)[0]) == normal_form(expected))
+        # ansatz (e.g. a zeta_1*c_chi_omega term), so compare evaluation pairs.
+        record_solved(f"pushforward:{name}", lambda: same_class(
+            expected.grading, solve_with_coefficients(
+                space, expected.grading, *space.pushforward_targets[name],
+                ansatz=space.pushforward_ansatz)[0].evaluate(), expected.evaluate()))
 
     if space.identifications:
         ident = {k: RingElement.from_terms(space, v)

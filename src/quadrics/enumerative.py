@@ -175,7 +175,7 @@ def euler_sym3(parity: str = "even") -> LineCountResult:
     divided = space.mono(dict(beta_mono), z1=1, cxl=1)
     nf_divided = normal_form(RingElement.from_mono(space, divided))
     delta = nf_divided.terms.get(section_mono)
-    if delta is None or delta.shape() != (0, 0, 0, 0):
+    if delta is None or not delta.is_burnside():
         raise RuntimeError("the divided monomial does not reduce onto the "
                            "section slot")
     c21 = alpha - delta.coeff

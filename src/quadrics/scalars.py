@@ -134,6 +134,10 @@ class PointScalar:
     def shape(self) -> tuple[int, int, int, int]:
         return (self.e, self.xi, self.tau, self.kneg)
 
+    def is_burnside(self) -> bool:
+        """Whether this is a plain Burnside scalar a + b*g, of shape (0, 0, 0, 0)."""
+        return not (self.e or self.xi or self.tau or self.kneg)
+
     def grading(self) -> Degree:
         one = -2 * self.xi + 2 * self.tau
         sigma = self.e + 2 * self.xi - 2 * self.tau - 2 * self.kneg
@@ -189,10 +193,10 @@ class PointScalar:
 
     def scale(self, b: BurnsideScalar | int) -> "PointScalar":
         """self * b, built as it stands where it is canonical (ZERO for b = 0, any b
-        on shape (0, 0, 0, 0), an int b without e^k*xi^j); else canonicalized."""
+        on a plain Burnside scalar, an int b without e^k*xi^j); else canonicalized."""
         if not b:
             return ZERO
-        if self.shape() == (0, 0, 0, 0) or isinstance(b, int) and not (self.e and self.xi):
+        if self.is_burnside() or isinstance(b, int) and not (self.e and self.xi):
             out = object.__new__(PointScalar)
             out.coeff, out.e, out.xi, out.tau, out.kneg = self.coeff * b, *self.shape()
             return out

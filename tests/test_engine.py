@@ -35,6 +35,13 @@ TABLED = (
     + [("Q_BD", q) for q in range(17)]
     + [("Q_DD", q) for q in range(2, 17)]
 )
+# the spaces the reproduce benchmark verifies
+REPRODUCE_GRID = (
+    [("BU1", None), ("Q22", None), ("Gr222", None)]
+    + [("X1q", q) for q in range(0, 17, 2)]
+    + [("Q_BD", q) for q in range(17)]
+    + [("Q_DD", q) for q in range(2, 17)]
+)
 # the RO(C2) shifts (one, sigma) the solve benchmark dresses a slot by
 SOLVE_SHIFTS = ((0, 0), (0, 1), (0, 2), (0, 3), (0, -2), (0, -4), (-2, 2), (2, -2))
 
@@ -65,15 +72,30 @@ def test_disjoint_sections_kill_each_other_in_every_even_quadric():
 
 
 def test_every_space_of_the_reproduce_grid_verifies():
-    grid = (
-        [("BU1", None), ("Q22", None), ("Gr222", None)]
-        + [("X1q", q) for q in range(0, 17, 2)]
-        + [("Q_BD", q) for q in range(17)]
-        + [("Q_DD", q) for q in range(2, 17)]
-    )
-    for name, q in grid:
+    for name, q in REPRODUCE_GRID:
         report = verify_presentation(load_presentation(name, q))
         assert report["ok"], (report["space"], report["failures"])
+
+
+def test_every_declared_relation_and_pushforward_lies_in_a_decided_degree():
+    # so verify compares their evaluation pairs and never needs a normal form
+    declared = 0
+    for name, q in REPRODUCE_GRID + [(n, q) for n in ("Q_BD", "Q_DD") for q in (1023, 1024)]:
+        sp = load_presentation(name, q)
+        sides = [rel.lhs for rel in sp.relations] + list(sp.pushforwards.values())
+        for terms in sides:
+            grading = RingElement.from_terms(sp, terms).grading
+            assert engine._evaluation_decides(sp, grading), (sp.name, str(grading))
+        declared += len(sides)
+    assert declared == 69  # 62 on the reproduce grid
+
+
+def test_verify_makes_no_normal_form(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "normal_form", lambda u: calls.append(u) or normal_form(u))
+    for name, q in REPRODUCE_GRID:
+        verify_presentation(load_presentation(name, q))
+    assert calls == []
 
 
 def test_section_ideal_membership_is_decided_by_span():
@@ -176,13 +198,24 @@ def test_zero_element_needs_an_explicit_grading():
 
 
 def test_products_outside_the_fragment_fail_loudly():
-    # odd euler power against a divided kappa class: the scalar product
-    # leaves the fragment, and the evaluation fallback cannot recover it
+    # odd euler power against a divided kappa class: the class leaves the
+    # fragment, and the solve of the factors' evaluations cannot place it
     a = elt(BD2, PointScalar.e_power(1), z00=1, z11=1, cw=1)
     b = elt(BD2, PointScalar.kappa_negative(1), x=1)
-    with pytest.raises(UnsolvableError) as info:
+    grading = a.grading + b.grading
+    assert engine._evaluation_decides(BD2, grading)
+    with pytest.raises(UnsolvableError, match=re.escape(f"in degree {grading} of Q_BD(q=2)")):
         multiply(a, b)
-    assert isinstance(info.value.__context__, FragmentError)
+
+
+def test_a_decided_product_forms_no_termwise_scalar_product(monkeypatch):
+    u = elt(BD2, x=1)
+    assert engine._evaluation_decides(BD2, u.grading + u.grading)
+    products = []
+    mul = PointScalar.__mul__
+    monkeypatch.setattr(PointScalar, "__mul__", lambda s, t: products.append(t) or mul(s, t))
+    assert str(multiply(u, u)) == "-e^2*divq*x"
+    assert products == []
 
 
 def test_an_ambiguous_product_outside_the_fragment_is_not_guessed(monkeypatch):
@@ -845,14 +878,33 @@ def test_evaluation_is_multiplicative_and_cached():
 
 
 def test_verify_reports_a_relation_whose_normal_form_raises(monkeypatch):
-    def broken(u):
+    # in a decided degree the normal form is the table solve of the pair
+    def broken(*args, **kwargs):
         raise UnsolvableError("no basis here")
 
-    monkeypatch.setattr(engine, "normal_form", broken)
+    monkeypatch.setattr(engine, "solve_with_coefficients", broken)
     report = verify_presentation(load_presentation("Q_BD", 1))
     assert report["checks"]["relation:divided-class"] is False
     assert "relation:divided-class: no basis here" in report["failures"]
     assert report["ok"] is False
+
+
+@pytest.mark.parametrize("space, exps", [
+    (("Q_BD", 2), {"z00": 1, "z11": 1, "z1": 1, "divq": 1, "xp": 2}),  # torsion-capable
+    (("BU1", None), {"cw": 2}),  # no finite table
+])
+def test_verify_fails_a_relation_in_a_degree_evaluation_does_not_decide(
+        monkeypatch, space, exps):
+    sp = load_presentation(*space)
+    mono = sp.mono(exps)
+    monkeypatch.setattr(sp, "relations", (presentation.Relation(
+        "undecided", ((ONE, mono),), ((ONE, mono),)),))
+    grading = sp.mono_grading(mono)
+    assert not engine._evaluation_decides(sp, grading)
+    report = verify_presentation(sp)
+    assert report["checks"]["relation:undecided"] is False
+    assert (f"relation:undecided: evaluation does not decide degree {grading} of {sp.name}"
+            in report["failures"])
 
 
 def test_verify_presentation_report_shape():

@@ -214,7 +214,8 @@ def test_nf_past_the_bu1_window_fails_loudly(capsys):
 
 
 def test_a_window_error_names_the_monomial_its_degree_and_the_space(capsys):
-    for expr, degree in (("cw^40", "80s - 40W0"), ("cw^20*cxw^20", "40 + 40s")):
+    for expr, degree in (("cw^40", "80s - 40W0"), ("cw^20*cxw^20", "40 + 40s"),
+                         ("z0*cw^40", "80s - 39W0")):
         code, out, err = invoke(capsys, "nf", "BU1", expr)
         assert (code, out) == (1, ""), expr
         assert err == (f"error: monomial {expr} in degree {degree} of BU1: poly-window: "

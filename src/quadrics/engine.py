@@ -24,9 +24,12 @@ integers, once per space for a degree's blocks, `_dual_of`); it places
 the target or declines.  An ansatz, and every target the read declines,
 go to the lattice (`_integer_solve`), which decides and words every
 failure.  `verify_presentation` checks that every sampled table is a
-Z-basis on both sides with the same builder (`_singular_sides`), linear
-in q.  Rewriting fails loudly past DEFAULT_STEP_BOUND rule applications
-per product rather than silently truncating.
+Z-basis on both sides (`_singular_sides`), line by line on the lines a
+table solve reads: a lone slot must be a signed basis class, a longer
+line goes through the elimination a dual is built by (`_eliminate`), and
+the lines' rows must be distinct and number the rank.  This is linear in
+q.  Rewriting fails loudly past DEFAULT_STEP_BOUND rule applications per
+product rather than silently truncating.
 
 Values are checked once, where they come in: outside terms by
 `RingElement.from_terms`, an ansatz where a solve receives it, an outside
@@ -482,29 +485,40 @@ def _unimodular_inverse(rows: list[list[int]]) -> list[list[int]] | None:
     return [row[k:] for row in work]
 
 
+def _eliminate(columns: list[tuple[NonequivClass, ...]]
+               ) -> list[tuple[list[int], list[tuple[int, Key]], list[list[int]]]] | None:
+    """The columns' matrix inverted block by block (_blocks), as (column
+    indices, (ring, key) rows, the block's inverse) per block, or None when
+    a block is not square (a zero column is one) or has |det| != 1.  A 1x1
+    block must be +-1, its own inverse; a larger one goes through
+    _unimodular_inverse."""
+    out = []
+    for cols, keys, rows in _blocks(columns):
+        if len(keys) != len(cols):
+            return None
+        if len(cols) > 1:
+            inverse = _unimodular_inverse(rows)
+        else:
+            inverse = rows if rows[0][0] in (1, -1) else None
+        if inverse is None:
+            return None
+        out.append((cols, keys, inverse))
+    return out
+
+
 def _dual(columns: list[tuple[NonequivClass, ...]]) -> Dual | None:
-    """The inverse of the columns' matrix, or None when it is not square,
-    has a zero column, or has |det| != 1.  Per ring, a tuple holds at each
-    basis key's position (TruncatedRing.positions) that row's column of
-    the inverse as (column, entry) pairs, or None.  Built block by block
-    (_blocks): a 1x1 block must be +-1, a larger one goes through
-    _unimodular_inverse.
+    """The inverse of the columns' matrix (_eliminate), or None when it is
+    not square, has a zero column, or has |det| != 1.  Per ring, a tuple
+    holds at each basis key's position (TruncatedRing.positions) that row's
+    column of the inverse as (column, entry) pairs, or None.
     """
     rings = [cls.ring for cls in columns[0]] if columns else []
     positions = [ring.positions() for ring in rings]
     dual = [[None] * ring.rank() for ring in rings]
-    for cols, keys, rows in _blocks(columns):
-        if len(keys) != len(cols):
-            return None  # a zero column, or a block that is not square
-        if len(cols) == 1:
-            (ci, key), value = keys[0], rows[0][0]
-            if value not in (1, -1):
-                return None
-            dual[ci][positions[ci][key]] = ((cols[0], value),)
-            continue
-        inverse = _unimodular_inverse(rows)
-        if inverse is None:
-            return None
+    blocks = _eliminate(columns)
+    if blocks is None:
+        return None
+    for cols, keys, inverse in blocks:
         for i, (ci, key) in enumerate(keys):
             dual[ci][positions[ci][key]] = tuple(
                 (j, row[i]) for j, row in zip(cols, inverse) if row[i])
@@ -741,6 +755,20 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
     return RingElement(space, grading, terms), records, False
 
 
+def same_class(space: SpacePresentation, grading: GradingElement, pair, other) -> bool:
+    """Whether two evaluation pairs are one class of `grading`: where
+    evaluation decides the degree (_evaluation_decides) both normal forms
+    are the table solve of the pair, which must place it; elsewhere the
+    pair does not pin the class down, and that is an error."""
+    if not _evaluation_decides(space, grading):
+        raise AmbiguousSolveError(
+            f"evaluation does not decide degree {grading} of {space.name}")
+    if pair != other:
+        return False
+    solve_with_coefficients(space, grading, *pair)  # places the pair, or raises
+    return True
+
+
 # --------------------------------------------------------------------------
 # verification
 # --------------------------------------------------------------------------
@@ -759,32 +787,47 @@ def _sample_keys(space: SpacePresentation):
     return keys
 
 
-def _singular_sides(space: SpacePresentation, key: tuple[int, ...],
-                    decided: dict[tuple, bool] | None = None) -> list[str]:
+def _line_rows(columns: list[tuple[NonequivClass, ...]]) -> list[tuple[int, Key]] | None:
+    """The (ring, key) rows of one line's columns when they are a Z-basis
+    of exactly those rows, else None.  A single column must be a signed
+    basis class, read directly; more go through _eliminate, as a dual does."""
+    if len(columns) > 1:
+        blocks = _eliminate(columns)
+        return None if blocks is None else [row for _, keys, _ in blocks for row in keys]
+    entries = [((ci, key), c) for ci, cls in enumerate(columns[0])
+               for key, c in cls.coeffs.items()]
+    return [entries[0][0]] if len(entries) == 1 and entries[0][1] in (1, -1) else None
+
+
+def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]:
     """The sides on which a coset table's undressed slots are not a Z-basis:
     "rho" of H*(X), "fixed" of the fixed components' cohomology.
 
-    A side is a basis when it has as many slots as its rings' rank and its
-    dual builds (_dual), the builder a table solve reads; the dual itself
-    is dropped.  `decided` keeps each side's verdict under the ids of its
-    shared classes, as in _dual_of: verify_presentation passes one dict per
-    call, so a column list that recurs across cosets (the rho columns of a
-    quadric mostly do) is decided once, and the space keeps nothing.  The
-    slot matrices have blocks of at most 4 columns on every sampled table,
-    so this is linear in the number of slots.
+    A side is decided line by line, on the lines a table solve reads
+    (_read_coordinates): the slots of one one + sigma on the rho side, of
+    one one on the fixed side.  It is a basis when each line is a Z-basis
+    of its own rows (_line_rows) and the rows of all lines are distinct and
+    number the rank: the matrix is then a direct sum of unimodular blocks,
+    so the side fails wherever the whole table's dual (_dual) would not
+    build.  Classes are homogeneous, so on a sound table lines share no
+    row; a slot whose class lies off its degree repeats one.  Most lines
+    hold one slot, and the slot matrices have blocks of at most 4 columns
+    on every sampled table, so this is linear in the number of slots.
     """
-    decided = {} if decided is None else decided
-    evals = [space.eval_trusted(m) for m in space.coset_basis(key)]
-    sides = (("rho", space.underlying.rank(), [(rho,) for rho, _ in evals]),
-             ("fixed", sum(ring.rank() for ring in space.fixed_rings),
-              [fix.parts for _, fix in evals]))
+    slots, degrees = space.coset_table(key)
+    rho_lines: dict[int, list] = {}
+    fix_lines: dict[int, list] = {}
+    pairs = iter(degrees)
+    for m, one, sigma in zip(slots, pairs, pairs):
+        rho, fix = space.eval_trusted(m)
+        rho_lines.setdefault(one + sigma, []).append((rho,))
+        fix_lines.setdefault(one, []).append(fix.parts)
     bad = []
-    for side, rank, columns in sides:
-        memo = (side, *(id(cls) for classes in columns for cls in classes))
-        ok = decided.get(memo)
-        if ok is None:
-            ok = decided[memo] = len(columns) == rank and _dual(columns) is not None
-        if not ok:
+    for side, rank, lines in (("rho", space.underlying.rank(), rho_lines),
+                              ("fixed", sum(ring.rank() for ring in space.fixed_rings),
+                               fix_lines)):
+        found = [_line_rows(columns) for columns in lines.values()]
+        if None in found or not len(set().union(*found)) == len(slots) == rank:
             bad.append(side)
     return bad
 
@@ -816,24 +859,11 @@ def verify_presentation(space: SpacePresentation) -> dict:
         except UnsolvableError as err:
             record(name, False, str(err))
 
-    def same_class(grading: GradingElement, pair, other) -> bool:
-        """Whether two evaluation pairs are one class of `grading`: where
-        evaluation decides the degree (_evaluation_decides) both normal forms
-        are the table solve of the pair, which must place it; elsewhere the
-        pair does not pin the class down, and that is an error."""
-        if not _evaluation_decides(space, grading):
-            raise AmbiguousSolveError(
-                f"evaluation does not decide degree {grading} of {space.name}")
-        if pair != other:
-            return False
-        solve_with_coefficients(space, grading, *pair)  # places the pair, or raises
-        return True
-
     for rel in space.relations:
         lhs = RingElement.from_terms(space, rel.lhs)
         rhs = RingElement.from_terms(space, rel.rhs, grading=lhs.grading)
         record_solved(f"relation:{rel.name}",
-                      lambda: same_class(lhs.grading, lhs.evaluate(), rhs.evaluate()))
+                      lambda: same_class(space, lhs.grading, lhs.evaluate(), rhs.evaluate()))
 
     for rule in space.rules:
         lhs = RingElement.from_mono(space, rule.lhs)
@@ -860,7 +890,7 @@ def verify_presentation(space: SpacePresentation) -> dict:
         # The declared formula may use a different spanning set than the
         # ansatz (e.g. a zeta_1*c_chi_omega term), so compare evaluation pairs.
         record_solved(f"pushforward:{name}", lambda: same_class(
-            expected.grading, solve_with_coefficients(
+            space, expected.grading, solve_with_coefficients(
                 space, expected.grading, *space.pushforward_targets[name],
                 ansatz=space.pushforward_ansatz)[0].evaluate(), expected.evaluate()))
 
@@ -878,9 +908,8 @@ def verify_presentation(space: SpacePresentation) -> dict:
             == multiply(shift, multiply(ident["cw1"], ident["cw2"])))
 
     if space.family != "BU1":
-        decided: dict[tuple, bool] = {}
         bad = [f"{side} side of coset {key}" for key in _sample_keys(space)
-               for side in _singular_sides(space, key, decided)]
+               for side in _singular_sides(space, key)]
         record("coset-tables", not bad, ", ".join(bad))
 
     return {
@@ -915,7 +944,11 @@ def annihilator_check(space: SpacePresentation,
     solve of its evaluation against the coset's section family (see
     SpacePresentation.section_family) has z's normal form.  The tables
     write some x-divisible classes on xp slots, so a normal form without
-    x can still lie in the ideal.
+    x can still lie in the ideal.  Where evaluation decides z's degree
+    (_evaluation_decides), z is zero when its pair is, and both normal
+    forms are the table solve of that pair, which the family solve places
+    exactly: z is a member when that solve succeeds, and no normal form is
+    made.
     """
     if space.annihilator_pair is None:
         raise ValueError(
@@ -924,8 +957,10 @@ def annihilator_check(space: SpacePresentation,
     _, partner = space.annihilator_pair
     partner_elt = RingElement.from_mono(space, space.mono({partner: 1}))
     killed = multiply(partner_elt, z).is_zero()
-    target = normal_form(z)
-    if target.is_zero():
+    decides = _evaluation_decides(space, z.grading)
+    target = None if decides else normal_form(z)
+    zero = not any(z.evaluate()) if decides else target.is_zero()
+    if zero:
         return killed, True
     family = _dressed_slots(z.grading, *space.section_family(z.grading))
     try:
@@ -933,4 +968,4 @@ def annihilator_check(space: SpacePresentation,
                                          ansatz=family)[0]
     except UnsolvableError:
         return killed, False  # the evaluation pair is outside the family's span
-    return killed, normal_form(solved) == target
+    return killed, decides or normal_form(solved) == target

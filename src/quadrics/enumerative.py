@@ -26,15 +26,15 @@ This module runs that computation inside the exact coset-table engine:
   underlying count reads 2*free_pairs + invariant_lines + beta = 27.
 
 Both lifts read alpha straight off the table, with no change of unit.
-Every step is checked: the divided-slot recombination must have the
-same normal form as the solved class, and the Burnside split must
-restrict correctly along the two-step flag chain.
+Every step is checked: the divided-slot recombination must be the
+solved class, and the Burnside split must restrict correctly along the
+two-step flag chain; both compare evaluation pairs (engine.same_class).
 """
 
 from __future__ import annotations
 
 from .burnside import BurnsideScalar
-from .engine import RingElement, normal_form, solve_with_coefficients
+from .engine import RingElement, normal_form, same_class, solve_with_coefficients
 from .grading import GradingElement
 from .nonequiv import NonequivClass, euler_fixed_sym3, euler_sym3_rank2
 from .presentation import (FixedTuple, SpacePresentation, load_presentation,
@@ -132,7 +132,7 @@ def _chain_split_holds(alpha: BurnsideScalar, c21: BurnsideScalar) -> bool:
     Restricting the count to the chain presentation with two divided
     steps turns the section slot into z0*cw*cxw and the divided slot
     into z1*cxw^2; the split alpha = c21 + (g - 1) must survive there
-    as an identity of normal forms.
+    as one class, compared by evaluation pair (engine.same_class).
     """
     chain = load_presentation("X1q", 2)
     section = chain.mono(z0=1, cw=1, cxw=1)
@@ -144,7 +144,7 @@ def _chain_split_holds(alpha: BurnsideScalar, c21: BurnsideScalar) -> bool:
         (PointScalar.from_burnside(c21), section),
         (PointScalar.from_burnside(BurnsideScalar(1, 0)), chain.mono(z1=1, cxw=2)),
     ])
-    return normal_form(lhs) == normal_form(rhs)
+    return same_class(chain, lhs.grading, lhs.evaluate(), rhs.evaluate())
 
 
 def euler_sym3(parity: str = "even") -> LineCountResult:
@@ -183,7 +183,7 @@ def euler_sym3(parity: str = "even") -> LineCountResult:
         (PointScalar.from_burnside(c21), section_mono),
         (PointScalar.integer(1), divided),
     ])
-    if normal_form(recombined) != element:
+    if not same_class(space, grading, recombined.evaluate(), element.evaluate()):
         raise RuntimeError("recombined class differs from the solved class")
     if delta.coeff != BurnsideScalar(-1, 1):
         raise RuntimeError(f"unexpected correction term {delta.coeff}")

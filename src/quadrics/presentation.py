@@ -7,8 +7,9 @@ A SpacePresentation bundles, for one space,
     every fixed component, together with the evaluation (restriction)
     of each generating letter into them,
   * the letters' gradings and divisibility credits -- the set of
-    component classes whose negative powers a letter's presence
-    licenses in an admissible monomial,
+    component classes (zetas, which evaluation reads as masks) whose
+    negative powers a letter's presence licenses in an admissible
+    monomial,
   * an ordered list of grading-preserving rewrite rules, the stated
     relations that no rule already says in the same form, unit pairs and
     section/pushforward data,
@@ -209,7 +210,8 @@ class SpacePresentation:
         "pushforwards", "pushforward_targets", "pushforward_ansatz",
         "identifications", "annihilator_pair",
         "_table_cache", "_eval_cache", "_powers", "_classes", "_products",
-        "_eval_values", "_unit_classes", "_fibre_block", "_duals", "_dual_parts",
+        "_eval_values", "_unit_classes", "_zero_classes", "_masks", "_fibre_block",
+        "_duals", "_dual_parts",
     )
 
     def __init__(self, name, family, q, group, underlying, fixed_rings,
@@ -257,6 +259,18 @@ class SpacePresentation:
         self._duals, self._dual_parts = {}, {}
         self._unit_classes = tuple(map(self._shared, (
             NonequivClass.unit(underlying), *FixedTuple.unit(self.fixed_rings).parts)))
+        self._zero_classes = tuple(self._shared(NonequivClass.zero(r))
+                                   for r in (underlying, *self.fixed_rings))
+        # zeta -> a bit per fixed part it kills, bit i for _unit_classes[i]
+        rho_unit, *part_units = self._unit_classes
+        self._masks = {name: sum(2 << i for i, v in enumerate(letter.fix.parts) if not v)
+                       for name, letter in self.letters.items()
+                       if letter.rho == rho_unit
+                       and all(not v or v == u for v, u in zip(letter.fix.parts, part_units))}
+        divided = self.invertible.union(*(letter.credits for letter in self.letters.values()))
+        if not divided <= self._masks.keys():
+            raise AssertionError(f"{self.name}: a credited or invertible letter is no zeta: "
+                                 f"{', '.join(sorted(divided - self._masks.keys()))}")
         # _block's fibre data: a lifted z1's coset key, q, and whether divq lifts
         self._fibre_block = (
             self.mono_grading(self.mono(_lift(fibre, {"z1": 1}))).coset_key(),
@@ -320,30 +334,42 @@ class SpacePresentation:
         """(rho, fixed parts) of a monomial the caller knows is admissible:
         a table slot (coset_table checks them) or a term of an element.
 
-        It is the product of the letters' cached powers.  A unit power is
-        marked None and skipped, and a ring that no other factor reaches
-        takes its unit, so nothing is ever multiplied by 1.  Every class is
-        the one of its value (_shared), each product of two is made once
-        (_product), and monomials whose classes are the same objects share
-        one pair, so the caches hold references, not copies.  A product
-        past a window ring's last power (BU1) raises RuntimeError, naming
-        the monomial, its degree and the space before the ring's own text.
+        A zeta (a letter restricting to 1 underlying and to 0 or 1 on each
+        fixed component) is a mask: every non-zero power of it, negative
+        ones included, restricts as it does.  So m's pair is the product of
+        the cached powers of its other letters (its core), with each fixed
+        part that a zeta of m kills set to that ring's shared zero.  Only
+        zetas are credited or invertible (checked at load), so only they go
+        negative.  A unit power is marked None and skipped, and a ring that
+        no other factor reaches takes its unit, so nothing is ever
+        multiplied by 1.  Every class is the one of its value (_shared),
+        each product of two is made once (_product), and monomials whose
+        classes are the same objects share one pair, so the caches hold
+        references, not copies.  A product past a window ring's last power
+        (BU1) raises RuntimeError, naming the monomial, its degree and the
+        space before the ring's own text.
         """
         cached = self._eval_cache.get(m)
         if cached is not None:
             return cached
+        masks, dead = self._masks, 0
         acc: list[NonequivClass | None] = [None] * len(self._unit_classes)
         try:
             for pair in m:
+                mask = masks.get(pair[0])
+                if mask is not None:
+                    dead |= mask
+                    continue
                 power = self._powers.get(pair)
                 if power is None:
-                    power = self._power(m, *pair)
+                    power = self._power(*pair)
                 for i, p in enumerate(power):
-                    if p is not None:
+                    if p is not None and not dead >> i & 1:
                         acc[i] = p if acc[i] is None else self._product(acc[i], p)
         except RuntimeError as err:
             raise self._refuse(m, str(err), RuntimeError) from err
-        rho, *parts = (u if a is None else a for a, u in zip(acc, self._unit_classes))
+        rho, *parts = (zero if dead >> i & 1 else u if a is None else a for i, (a, u, zero)
+                       in enumerate(zip(acc, self._unit_classes, self._zero_classes)))
         key = (id(rho), *map(id, parts))
         result = self._eval_values.get(key)
         if result is None:
@@ -351,29 +377,22 @@ class SpacePresentation:
         self._eval_cache[m] = result
         return result
 
-    def _power(self, m: Mono, name: str, exp: int) -> tuple[NonequivClass | None, ...]:
-        """The restrictions of name^exp, shared, with None for a unit, cached.
+    def _power(self, name: str, exp: int) -> tuple[NonequivClass | None, ...]:
+        """The restrictions of name^exp for a letter that is no zeta and an
+        exp >= 1, shared, with None for a unit, cached.
 
-        A positive power is the letter's highest cached power below exp
-        times the letter, one _product per ring and step, each step cached.
-        It climbs in a loop, not by recursion: q = 1024 asks for powers in
-        the thousands.  A climb out of a window ring (BU1) raises the error
-        of the direct power v ** exp instead, as before the climb: cw^40
-        names c^40, not the c^32 where the climb leaves the window.
-
-        Only component letters go negative (divided classes), and their
-        restrictions must be units or vanish outright; the refusal names
-        the monomial `m` that asked for the power.
+        It is the letter's highest cached power below exp times the letter,
+        one _product per ring and step, each step cached.  It climbs in a
+        loop, not by recursion: q = 1024 asks for powers in the thousands.
+        A climb out of a window ring (BU1) raises the error of the direct
+        power v ** exp instead, as before the climb: cw^40 names c^40, not
+        the c^32 where the climb leaves the window.
         """
         letter, powers, units = self.letters[name], self._powers, self._unit_classes
         classes = (letter.rho, *letter.fix.parts)
-        if exp < 0 and letter.rho != units[0]:
-            raise self._refuse(m, f"{name} has no invertible underlying restriction")
-        if exp < 0 and any(v and v != u for v, u in zip(classes[1:], units[1:])):
-            raise self._refuse(m, f"{name} has a non-unit fixed restriction")
         first = powers[name, 1] = powers.get((name, 1)) or tuple(
             None if v == u else self._shared(v) for v, u in zip(classes, units))
-        top = max(exp - 1, 1)  # a negative power is the first one
+        top = max(exp - 1, 1)
         while (name, top) not in powers:
             top -= 1
         power = powers[name, top]
@@ -387,7 +406,6 @@ class SpacePresentation:
             for v in classes:
                 v ** exp  # raises, naming the power asked for
             raise
-        powers[name, exp] = power
         return power
 
     def _shared(self, cls: NonequivClass) -> NonequivClass:

@@ -986,7 +986,7 @@ def test_verify_reports_a_coset_slot_that_solves_to_an_earlier_candidate(monkeyp
 
 def test_verify_lists_every_failing_side_of_the_coset_tables(monkeypatch):
     # ten sides fail, and the report names them all
-    monkeypatch.setattr(engine, "_dual", lambda columns: None)
+    monkeypatch.setattr(engine, "_line_rows", lambda columns: None)
     bd3 = presentation._build_quadric("BD", 3)
     sides = [f"{side} side of coset {key}" for key in engine._sample_keys(bd3)
              for side in ("rho", "fixed")]
@@ -995,8 +995,8 @@ def test_verify_lists_every_failing_side_of_the_coset_tables(monkeypatch):
     assert report["failures"] == ["coset-tables: " + ", ".join(sides)]
 
 
-def _unmemoized_sides(sp, key):
-    """_singular_sides of one table, each side decided by its own _dual."""
+def _whole_table_sides(sp, key):
+    """_singular_sides of one table, each side decided by its whole _dual."""
     evals = [sp.eval_trusted(m) for m in sp.coset_basis(key)]
     sides = (("rho", sp.underlying.rank(), [(rho,) for rho, _ in evals]),
              ("fixed", sum(ring.rank() for ring in sp.fixed_rings),
@@ -1005,38 +1005,50 @@ def _unmemoized_sides(sp, key):
             if len(columns) != rank or engine._dual(columns) is None]
 
 
-def test_the_verify_memo_changes_no_verdict():
+def test_the_line_verdict_is_the_whole_table_verdict():
     for name, q in TABLED + [("Q_BD", 1024), ("Q_DD", 1024)]:
         sp = load_presentation(name, q)
-        decided = {}
         for key in engine._sample_keys(sp):
-            assert engine._singular_sides(sp, key, decided) == _unmemoized_sides(sp, key), \
+            assert engine._singular_sides(sp, key) == _whole_table_sides(sp, key), \
                 (sp.name, key)
 
 
-def test_verify_decides_each_distinct_slot_matrix_once(monkeypatch):
-    # a guard on the memo, with no timing in it: one _dual per distinct rho
-    # column list and per distinct fixed column list of the sampled tables,
-    # counting the coset-tables check's calls only (verify's products solve)
+def test_two_lines_that_share_a_row_fail_the_side(monkeypatch):
+    # z00*z11^2*cw given z11's rho class: each rho line alone is a basis of
+    # its own rows, but two of them hold the unit, so the side does not span
+    bd3 = presentation._build_quadric("BD", 3)
+    slot, earlier = bd3.mono(z00=1, z11=2, cw=1), bd3.mono(z11=1)
+    assert {slot, earlier} <= set(bd3.coset_basis((1, 0)))
+    assert bd3.mono_grading(slot).underlying_dim() != bd3.mono_grading(earlier).underlying_dim()
+    pair = (bd3.eval_trusted(earlier)[0], bd3.eval_trusted(slot)[1])
+    eval_trusted = SpacePresentation.eval_trusted
+
+    def shared(self, m):
+        return pair if self is bd3 and m == slot else eval_trusted(self, m)
+
+    monkeypatch.setattr(SpacePresentation, "eval_trusted", shared)
+    assert engine._singular_sides(bd3, (1, 0)) == ["rho"]
+    assert _whole_table_sides(bd3, (1, 0)) == ["rho"]
+
+
+def test_verify_asks_no_zeta_power_and_eliminates_only_lines_of_two_slots(monkeypatch):
+    # a count guard with no timing in it: a zeta is a mask, so a fresh
+    # verify leaves no zeta key in the power cache, and the coset-tables
+    # check reads a single slot directly (verify's solves also eliminate)
     calls = []
-    dual = engine._dual
+    eliminate = engine._eliminate
 
     def counted(columns):
-        if sys._getframe(1).f_code is engine._singular_sides.__code__:
-            calls.append(columns)
-        return dual(columns)
+        if sys._getframe(1).f_code is engine._line_rows.__code__:
+            calls.append(len(columns))
+        return eliminate(columns)
 
-    monkeypatch.setattr(engine, "_dual", counted)
+    monkeypatch.setattr(engine, "_eliminate", counted)
     bd16 = presentation._build_quadric("BD", 16)
     assert verify_presentation(bd16)["ok"]
-    keys = engine._sample_keys(bd16)
-    rho, fixed = set(), set()
-    for key in keys:
-        evals = [bd16.eval_trusted(m) for m in bd16.coset_basis(key)]
-        rho.add(tuple(id(r) for r, _ in evals))
-        fixed.add(tuple(id(part) for _, fix in evals for part in fix.parts))
-    assert len(rho) < len(keys)  # the rho columns recur across cosets
-    assert len(calls) == len(rho) + len(fixed)
+    assert bd16._masks.keys() == {"z00", "z11", "z1"}
+    assert not any(name in bd16._masks for name, _ in bd16._powers)
+    assert calls and min(calls) >= 2
 
 
 @pytest.mark.parametrize("q", (32, 128, 1024))

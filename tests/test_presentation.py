@@ -11,7 +11,7 @@ from quadrics import engine, presentation
 from quadrics.cli import ZETA_NAMES, parse
 from quadrics.nonequiv import NonequivClass
 from quadrics.presentation import (
-    FixedTuple, NoFiniteTableError, SpacePresentation,
+    FixedTuple, Letter, NoFiniteTableError, SpacePresentation,
     load_presentation, mono_mul, mono_str,
 )
 from quadrics.scalars import PointScalar
@@ -335,10 +335,12 @@ def test_powers_asked_out_of_order_are_the_direct_powers():
     # a power climbs from the letter's highest cached power below it; asked
     # out of order, or far past every cached power, it is still v ** exp on
     # every ring, None exactly for the unit, and the one object of its value
+    # (a zeta is a mask, and never asks for a power)
     dd16, dd1024 = (presentation._build_quadric("DD", q) for q in (16, 1024))
     top = max(((exp, name) for key in engine._sample_keys(dd1024)
-               for m in dd1024.coset_basis(key) for name, exp in m))
-    assert top[0] >= 1024
+               for m in dd1024.coset_basis(key) for name, exp in m
+               if name not in dd1024._masks))
+    assert top == (1023, "cxw")
     for sp, asked in ((dd16, [(9, "cxw"), (3, "cxw"), (20, "cxw")]), (dd1024, [top])):
         for exp, name in asked:
             sp.eval_mono(sp.mono({name: exp}))
@@ -346,6 +348,21 @@ def test_powers_asked_out_of_order_are_the_direct_powers():
             for v, p, unit in zip((letter.rho, *letter.fix.parts), power, sp._unit_classes):
                 assert (unit if p is None else p) == v ** exp, (sp.name, name, exp)
                 assert p is None or (p != unit and sp._shared(p) is p), (sp.name, name, exp)
+
+
+def test_a_credited_letter_that_is_no_mask_fails_to_build():
+    # only zetas may go negative, so only they may be credited or invertible
+    bd2 = presentation._build_quadric("BD", 2)
+    x = bd2.letters["x"]
+    letters = {**bd2.letters, "x": Letter("x", x.grading, x.rho, x.fix, credits=("z00", "cw"))}
+    with pytest.raises(AssertionError, match=re.escape(
+            "Q_BD(q=2): a credited or invertible letter is no zeta: cw")):
+        SpacePresentation(bd2.name, bd2.family, bd2.q, bd2.group, bd2.underlying,
+                          bd2.fixed_rings, letters, fibre=bd2.fibre)
+    with pytest.raises(AssertionError, match="no zeta: divq"):
+        SpacePresentation(bd2.name, bd2.family, bd2.q, bd2.group, bd2.underlying,
+                          bd2.fixed_rings, bd2.letters, invertible=("divq",),
+                          fibre=bd2.fibre)
 
 
 def test_a_power_past_the_bu1_window_names_the_power_asked_for():

@@ -18,18 +18,20 @@ stated section/pushforward lemmas into machine checks.
 
 Solving is over the integers: a Burnside coefficient a + b*g is two
 integer unknowns, carried only by a slot whose gap to the target lies on
-a = 0 or a + b = 0 (`_lines`).  A table solve reads the target's
-coordinates in the table's dual basis (`_dual`, built block by block in
-integers, once per space for a degree's blocks, `_dual_of`); it places
-the target or declines.  An ansatz, and every target the read declines,
-go to the lattice (`_integer_solve`), which decides and words every
-failure.  `verify_presentation` checks that every sampled table is a
-Z-basis on both sides (`_singular_sides`), line by line on the lines a
-table solve reads: a lone slot must be a signed basis class, a longer
-line goes through the elimination a dual is built by (`_eliminate`), and
-the lines' rows must be distinct and number the rank.  This is linear in
-q.  Rewriting fails loudly past DEFAULT_STEP_BOUND rule applications per
-product rather than silently truncating.
+a = 0 or a + b = 0 (`_lines`).  One inverse decides a line of a table:
+`_inverse` of the line's columns, a sparse map from each (ring, key) row
+to its column of the integer inverse, or None when the line is not a
+Z-basis of its rows; a lone slot must be a signed basis class, a longer
+line is inverted block by block.  A table solve reads the target's
+coordinates off the inverses of its rho line and its fixed line, kept
+once per space (`_line_inverse`); it places the target or declines.  An
+ansatz, and every target the read declines, go to the lattice
+(`_integer_solve`), which decides and words every failure.
+`verify_presentation` checks that every sampled table is a Z-basis on
+both sides (`_singular_sides`), line by line through the same
+`_inverse`: the lines' rows must be distinct and number the rank.  This
+is linear in q.  Rewriting fails loudly past DEFAULT_STEP_BOUND rule
+applications per product rather than silently truncating.
 
 Values are checked once, where they come in: outside terms by
 `RingElement.from_terms`, an ansatz where a solve receives it, an outside
@@ -58,9 +60,8 @@ from .scalars import (ONE, FragmentError, PointScalar, scalar_dressing)
 
 DEFAULT_STEP_BOUND = 10_000
 
-# The integer dual basis of slot columns (_dual): per ring, per basis key
-# position, the (column, entry) pairs of the inverse's column, or None.
-Dual = tuple[tuple[tuple[tuple[int, int], ...] | None, ...], ...]
+# _inverse's result: per (ring, key) row, the inverse's column as (column, entry) pairs
+Inverse = dict[tuple[int, Key], tuple[tuple[int, int], ...]]
 
 
 def render_terms(terms: Terms) -> str:
@@ -485,63 +486,44 @@ def _unimodular_inverse(rows: list[list[int]]) -> list[list[int]] | None:
     return [row[k:] for row in work]
 
 
-def _eliminate(columns: list[tuple[NonequivClass, ...]]
-               ) -> list[tuple[list[int], list[tuple[int, Key]], list[list[int]]]] | None:
-    """The columns' matrix inverted block by block (_blocks), as (column
-    indices, (ring, key) rows, the block's inverse) per block, or None when
-    a block is not square (a zero column is one) or has |det| != 1.  A 1x1
-    block must be +-1, its own inverse; a larger one goes through
-    _unimodular_inverse."""
-    out = []
+def _inverse(columns: list[tuple[NonequivClass, ...]]) -> Inverse | None:
+    """The inverse of the columns' matrix, each column a class per ring, as
+    the (column, entry) pairs of its column per (ring, key) row; its keys
+    are the rows, and no columns give {}.  None when a block (_blocks) is
+    not square, as a zero column's is, or has |det| != 1
+    (_unimodular_inverse).  A lone column must be a signed basis class,
+    its own inverse, read directly."""
+    if len(columns) == 1:
+        inverse = None
+        for ci, cls in enumerate(columns[0]):
+            if cls.coeffs:
+                if inverse is not None or len(cls.coeffs) != 1:
+                    return None
+                (key, c), = cls.coeffs.items()
+                inverse = {(ci, key): ((0, c),)} if c in (1, -1) else {}  # {}: no unit
+        return inverse or None
+    out = {}
     for cols, keys, rows in _blocks(columns):
-        if len(keys) != len(cols):
-            return None
-        if len(cols) > 1:
-            inverse = _unimodular_inverse(rows)
-        else:
-            inverse = rows if rows[0][0] in (1, -1) else None
+        inverse = _unimodular_inverse(rows) if len(keys) == len(cols) else None
         if inverse is None:
             return None
-        out.append((cols, keys, inverse))
+        for i, row in enumerate(keys):
+            out[row] = tuple((j, line[i]) for j, line in zip(cols, inverse) if line[i])
     return out
 
 
-def _dual(columns: list[tuple[NonequivClass, ...]]) -> Dual | None:
-    """The inverse of the columns' matrix (_eliminate), or None when it is
-    not square, has a zero column, or has |det| != 1.  Per ring, a tuple
-    holds at each basis key's position (TruncatedRing.positions) that row's
-    column of the inverse as (column, entry) pairs, or None.
-    """
-    rings = [cls.ring for cls in columns[0]] if columns else []
-    positions = [ring.positions() for ring in rings]
-    dual = [[None] * ring.rank() for ring in rings]
-    blocks = _eliminate(columns)
-    if blocks is None:
-        return None
-    for cols, keys, inverse in blocks:
-        for i, (ci, key) in enumerate(keys):
-            dual[ci][positions[ci][key]] = tuple(
-                (j, row[i]) for j, row in zip(cols, inverse) if row[i])
-    return tuple(map(tuple, dual))
-
-
-def _dual_of(space: SpacePresentation, side: int, slots: list[Mono]) -> Dual | None:
-    """_dual of the slots' columns on one side, 0 their rho classes and 1
+def _line_inverse(space: SpacePresentation, side: int, slots: list[Mono]) -> Inverse | None:
+    """_inverse of the slots' columns on one side, 0 their rho classes and 1
     their fixed parts (FixedTuples), made once per space for slots whose
     evaluations there are the same objects: _classes and _eval_values keep
     those as long as the space, and the entry its own, so their ids are a
-    sound key and no slot meets a stale dual.  Equal rows, and equal rows
-    of a ring, are one object."""
+    sound key and no slot meets a stale inverse."""
     values = [space.eval_trusted(m)[side] for m in slots]
     key = tuple(map(id, values))
-    entry = space._duals.get(key)
+    entry = space._inverses.get(key)
     if entry is None:
-        dual = _dual([v.parts if side else (v,) for v in values])
-        if dual is not None:
-            part = space._dual_parts.setdefault
-            rings = (tuple(row and part(row, row) for row in rows) for rows in dual)
-            dual = tuple(part(rows, rows) for rows in rings)
-        entry = space._duals[key] = (values, dual)
+        entry = space._inverses[key] = (
+            values, _inverse([v.parts if side else (v,) for v in values]))
     return entry[1]
 
 
@@ -550,9 +532,11 @@ def _lines(grading: GradingElement, monos: tuple[Mono, ...],
     """(slot, a, b, template) per slot whose gap (a, b) to `grading` lies on
     a = 0 or a + b = 0, the only lines where the point ring has a class of
     infinite order, in slot order; the template is scalar_dressing's, read
-    once per gap (_template), or None.  `monos` and their flat (one, sigma)
-    `degrees` come from coset_table or section_family, so the gap is an int
-    pair, and a slot off the lines drops out on two int tests.
+    once per gap (_template), or None.  The slots on a + b = 0 are the rho
+    line and those on a = 0 the fixed line whose inverses a solve reads
+    (_read_coordinates).  `monos` and their flat (one, sigma) `degrees`
+    come from coset_table or section_family, so the gap is an int pair,
+    and a slot off the lines drops out on two int tests.
     """
     one, sigma = grading.one, grading.sigma
     out = []
@@ -607,16 +591,13 @@ def _equations(space: SpacePresentation, candidates: list[tuple[PointScalar, Mon
     return unknowns, table
 
 
-def _coordinates(dual: Dual, classes: Iterable[NonequivClass], n: int) -> list[int] | None:
-    """A target's coordinates on n columns, from their dual; None when a
-    key of the target is off the columns' span."""
-    if not dual:  # no columns
-        return None if any(classes) else []
+def _coordinates(inverse: Inverse, classes: Iterable[NonequivClass], n: int) -> list[int] | None:
+    """A target's coordinates on n columns, a class per ring, from their
+    inverse; None when a key of the target is off the columns' rows."""
     out = [0] * n
-    for cls, rows in zip(classes, dual):
-        positions = cls.ring.positions()
+    for ci, cls in enumerate(classes):
         for key, c in cls.coeffs.items():
-            entries = rows[positions[key]]
+            entries = inverse.get((ci, key))
             if entries is None:
                 return None
             for i, d in entries:
@@ -634,21 +615,23 @@ def _read_coordinates(space: SpacePresentation,
     target, which the lattice then decides and words.
 
     Classes are homogeneous, so only the slots of the target's degree
-    count, a + b = 0 on the rho side and a = 0 on the fixed side; their
-    columns are whole blocks, and a target key off them is off the span.
-    The template 1 has rho and fix multipliers 1, so a + b*g gives a = z
-    and b = (y - z)/2; every other template has one zero multiplier, and
-    its slot lies on the other side only, so c takes one division; an
-    undressed slot needs y = z = 0.  None also when a dual does not build,
-    or a division leaves a remainder.
+    count: one line, a + b = 0, on the rho side and one, a = 0, on the
+    fixed side.  Each line's inverse (_line_inverse) has exactly the line's
+    rows, and a target key off them is off the span.  The template 1 has
+    rho and fix multipliers 1, so a + b*g gives a = z and b = (y - z)/2;
+    every other template has one zero multiplier, and its slot lies on the
+    other side only, so c takes one division; an undressed slot needs
+    y = z = 0.  None also when a line has no inverse, or a division leaves
+    a remainder.
     """
     rho_slots = [mono for mono, a, b, _ in lines if not a + b]
     fix_slots = [mono for mono, a, _, _ in lines if not a]
-    rho_dual, fix_dual = _dual_of(space, 0, rho_slots), _dual_of(space, 1, fix_slots)
-    if rho_dual is None or fix_dual is None:
+    rho_inverse = _line_inverse(space, 0, rho_slots)
+    fix_inverse = _line_inverse(space, 1, fix_slots)
+    if rho_inverse is None or fix_inverse is None:
         return None
-    y = _coordinates(rho_dual, (rho_target,), len(rho_slots))
-    z = _coordinates(fix_dual, fix_target.parts, len(fix_slots))
+    y = _coordinates(rho_inverse, (rho_target,), len(rho_slots))
+    z = _coordinates(fix_inverse, fix_target.parts, len(fix_slots))
     if y is None or z is None:
         return None
     ys, zs = iter(y), iter(z)
@@ -787,32 +770,21 @@ def _sample_keys(space: SpacePresentation):
     return keys
 
 
-def _line_rows(columns: list[tuple[NonequivClass, ...]]) -> list[tuple[int, Key]] | None:
-    """The (ring, key) rows of one line's columns when they are a Z-basis
-    of exactly those rows, else None.  A single column must be a signed
-    basis class, read directly; more go through _eliminate, as a dual does."""
-    if len(columns) > 1:
-        blocks = _eliminate(columns)
-        return None if blocks is None else [row for _, keys, _ in blocks for row in keys]
-    entries = [((ci, key), c) for ci, cls in enumerate(columns[0])
-               for key, c in cls.coeffs.items()]
-    return [entries[0][0]] if len(entries) == 1 and entries[0][1] in (1, -1) else None
-
-
 def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]:
     """The sides on which a coset table's undressed slots are not a Z-basis:
     "rho" of H*(X), "fixed" of the fixed components' cohomology.
 
     A side is decided line by line, on the lines a table solve reads
     (_read_coordinates): the slots of one one + sigma on the rho side, of
-    one one on the fixed side.  It is a basis when each line is a Z-basis
-    of its own rows (_line_rows) and the rows of all lines are distinct and
-    number the rank: the matrix is then a direct sum of unimodular blocks,
-    so the side fails wherever the whole table's dual (_dual) would not
-    build.  Classes are homogeneous, so on a sound table lines share no
-    row; a slot whose class lies off its degree repeats one.  Most lines
-    hold one slot, and the slot matrices have blocks of at most 4 columns
-    on every sampled table, so this is linear in the number of slots.
+    one one on the fixed side.  It is a basis when each line has an
+    inverse (_inverse), whose keys are the line's rows, and the rows of all
+    lines are distinct and number the rank: the matrix is then a direct sum
+    of unimodular blocks, so the side fails wherever the whole table's
+    matrix has no inverse.  Classes are homogeneous, so on a sound table
+    lines share no row; a slot whose class lies off its degree repeats one.
+    Most lines hold one slot, and the slot matrices have blocks of at most
+    4 columns on every sampled table, so this is linear in the number of
+    slots.  Each line is read once, so its inverse skips the solve memo.
     """
     slots, degrees = space.coset_table(key)
     rho_lines: dict[int, list] = {}
@@ -826,7 +798,7 @@ def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]
     for side, rank, lines in (("rho", space.underlying.rank(), rho_lines),
                               ("fixed", sum(ring.rank() for ring in space.fixed_rings),
                                fix_lines)):
-        found = [_line_rows(columns) for columns in lines.values()]
+        found = [_inverse(columns) for columns in lines.values()]
         if None in found or not len(set().union(*found)) == len(slots) == rank:
             bad.append(side)
     return bad

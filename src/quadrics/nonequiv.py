@@ -37,7 +37,7 @@ class TruncatedRing:
     vector to basis keys, so that k1*k2 is the reduce of k1 + k2.  The raw
     constructor is not an extension point; only the families below build rings.
     """
-    __slots__ = ("name", "vars", "_basis", "_order", "_reduce", "_positions")
+    __slots__ = ("name", "vars", "_basis", "_order", "_reduce")
 
     def __init__(self, name: str, variables: tuple[str, ...],
                  basis: dict[Key, int], reduce_fn: Reduce):
@@ -46,7 +46,6 @@ class TruncatedRing:
         self._basis = dict(basis)
         self._order = tuple(sorted(basis, key=lambda k: (basis[k], tuple(-x for x in k))))
         self._reduce = reduce_fn
-        self._positions = None
 
     # --- queries ---
 
@@ -55,12 +54,6 @@ class TruncatedRing:
 
     def basis_keys(self) -> tuple[Key, ...]:
         return self._order
-
-    def positions(self) -> dict[Key, int]:
-        """Each basis key's index in basis_keys(), built on first use."""
-        if self._positions is None:
-            self._positions = {key: i for i, key in enumerate(self._order)}
-        return self._positions
 
     def degree_of(self, key: Key) -> int:
         return self._basis[key]

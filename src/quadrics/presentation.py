@@ -211,7 +211,7 @@ class SpacePresentation:
         "identifications", "annihilator_pair",
         "_table_cache", "_eval_cache", "_powers", "_classes", "_products",
         "_eval_values", "_unit_classes", "_zero_classes", "_masks", "_fibre_block",
-        "_duals", "_dual_parts",
+        "_inverses",
     )
 
     def __init__(self, name, family, q, group, underlying, fixed_rings,
@@ -254,9 +254,9 @@ class SpacePresentation:
         self._products = {}
         # (id(rho), *ids of the fixed parts) -> the one pair of those classes
         self._eval_values = {}
-        # the duals that solves read, and one object per distinct part of
-        # them (see engine._dual_of)
-        self._duals, self._dual_parts = {}, {}
+        # (ids of a line's slot values on one side) -> (those values, the
+        # line's inverse) that solves read (see engine._line_inverse)
+        self._inverses = {}
         self._unit_classes = tuple(map(self._shared, (
             NonequivClass.unit(underlying), *FixedTuple.unit(self.fixed_rings).parts)))
         self._zero_classes = tuple(self._shared(NonequivClass.zero(r))

@@ -494,14 +494,12 @@ def _inverse(columns: list[tuple[NonequivClass, ...]]) -> Inverse | None:
     (_unimodular_inverse).  A lone column must be a signed basis class,
     its own inverse, read directly."""
     if len(columns) == 1:
-        inverse = None
-        for ci, cls in enumerate(columns[0]):
-            if cls.coeffs:
-                if inverse is not None or len(cls.coeffs) != 1:
-                    return None
-                (key, c), = cls.coeffs.items()
-                inverse = {(ci, key): ((0, c),)} if c in (1, -1) else {}  # {}: no unit
-        return inverse or None
+        entries = [((ci, key), c) for ci, cls in enumerate(columns[0])
+                   for key, c in cls.coeffs.items()]
+        if len(entries) != 1 or entries[0][1] not in (1, -1):
+            return None
+        (row, c), = entries
+        return {row: ((0, c),)}
     out = {}
     for cols, keys, rows in _blocks(columns):
         inverse = _unimodular_inverse(rows) if len(keys) == len(cols) else None

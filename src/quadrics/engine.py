@@ -506,7 +506,7 @@ def _inverse(columns: list[tuple[NonequivClass, ...]]) -> Inverse | None:
         if inverse is None:
             return None
         for i, row in enumerate(keys):
-            out[row] = tuple((j, line[i]) for j, line in zip(cols, inverse) if line[i])
+            out[row] = tuple((j, coords[i]) for j, coords in zip(cols, inverse) if coords[i])
     return out
 
 

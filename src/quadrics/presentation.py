@@ -271,10 +271,20 @@ class SpacePresentation:
         if not divided <= self._masks.keys():
             raise AssertionError(f"{self.name}: a credited or invertible letter is no zeta: "
                                  f"{', '.join(sorted(divided - self._masks.keys()))}")
-        # _block's fibre data: a lifted z1's coset key, q, and whether divq lifts
-        self._fibre_block = (
-            self.mono_grading(self.mono(_lift(fibre, {"z1": 1}))).coset_key(),
-            1 if q is None else q, all(own in self.letters for own in fibre["divq"]))
+        # _block's fibre data: q, a lifted z1's coset key (the step), and the
+        # (one, sigma) and fibre key f of each fibre letter's lift, whose
+        # coset key must be f steps; _block grades its slots from these
+        lifts = {name: self._int_grading(tuple((own, 1) for own in owns))
+                 for name, owns in fibre.items() if all(own in self.letters for own in owns)}
+        keys = {name: tuple(w - omega[0] for w in omega[1:])
+                for name, (_, _, omega) in lifts.items()}
+        step = keys["z1"]
+        for name, key in keys.items():
+            if key != tuple(key[-1] * s for s in step):
+                raise AssertionError(f"{self.name}: fibre letter {name} lifts to coset key "
+                                     f"{key}, off its fibre coset along z1's {step}")
+        self._fibre_block = (1 if q is None else q, step, {
+            name: (one, sigma, keys[name][-1]) for name, (one, sigma, _) in lifts.items()})
 
     def __repr__(self):
         return f"SpacePresentation({self.name}, q={self.q})"
@@ -429,8 +439,8 @@ class SpacePresentation:
         return self.coset_table(key)[0]
 
     def coset_table(self, key) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
-        """A coset's slots, and their (one, sigma) degrees as one flat int
-        tuple in slot order; the key fixes the rest of every slot's grading.
+        """A coset's slots, and their (one, sigma) degrees from _block as one
+        flat int tuple in slot order; the key fixes the rest of each grading.
 
         A table is its blocks (see _block) in prefix order: X1q has one,
         with the empty prefix.  Else, per zeta pair (a, b, e) of _zeta_pairs,
@@ -456,28 +466,17 @@ class SpacePresentation:
             letter = next(name for name, letter in self.letters.items()
                           if letter.credits == section.keys())
             prefixes.append({**section, letter: 1})
-        monos = [mono for prefix in prefixes for mono in self._block(key, prefix)]
-        for mono in monos:
+        graded = [slot for prefix in prefixes for slot in self._block(key, prefix)]
+        for mono, _, _ in graded:
             if not self.is_admissible(mono):
                 raise AssertionError(f"inadmissible slot {mono_str(mono)} at {key}")
-        table = self._table_cache[key] = self._graded_slots(key, monos)
+        table = self._table_cache[key] = (tuple(mono for mono, _, _ in graded), tuple(
+            d for _, one, sigma in graded for d in (one, sigma)))
         return table
-
-    def _graded_slots(self, key: tuple[int, ...], monos: Iterable[Mono]
-                      ) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
-        """Check that slots lie on a coset; return them and their degrees,
-        read off the int gradings (the coset key is the W offsets)."""
-        monos, degrees = tuple(monos), []
-        for m in monos:
-            one, sigma, omega = self._int_grading(m)
-            if tuple(w - omega[0] for w in omega[1:]) != key:
-                raise AssertionError(f"slot {mono_str(m)} lands off-coset {key}")
-            degrees += (one, sigma)
-        return monos, tuple(degrees)
 
     def section_family(self, key) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
         """The admissible x-multiples that span the section ideal in a coset,
-        with their degrees as coset_table gives a table's.
+        with their degrees from _block, as coset_table gives a table's.
 
         They are the admissible slots of the coset's x block, whose prefix
         is a^-e per zeta pair (a, b) (z00^-m*x on a quadric, z00^-m*z01^-n*x
@@ -490,8 +489,9 @@ class SpacePresentation:
             raise ValueError(f"{self.name} has no section class x")
         self._check_width(key)
         prefix = {a: -e for a, _, e in self._zeta_pairs(key)}
-        family = self._block(key, {**prefix, "x": 1})
-        return self._graded_slots(key, filter(self.is_admissible, family))
+        family = [s for s in self._block(key, {**prefix, "x": 1}) if self.is_admissible(s[0])]
+        return (tuple(mono for mono, _, _ in family),
+                tuple(d for _, one, sigma in family for d in (one, sigma)))
 
     def _check_width(self, key: tuple[int, ...]) -> None:
         width = len(self.group.labels) - 1
@@ -508,22 +508,37 @@ class SpacePresentation:
         return [(a, b, offset[b[1:]] - offset[a[1:]]) for a, b in
                 (pair for pair in pairs if len(pair) == 2)]
 
-    def _block(self, key: tuple[int, ...], prefix: Mapping[str, int]) -> list[Mono]:
-        """The fibre slots at offset k, lifted and multiplied by `prefix`.
+    def _block(self, key: tuple[int, ...], prefix: Mapping[str, int]
+               ) -> list[tuple[Mono, int, int]]:
+        """(slot, one, sigma) per fibre slot at offset k, lifted and
+        multiplied by `prefix`.
 
         Each lifted z1 adds z1's coset key, whose last component is 1, so k
         is what the prefix leaves of the key's last component, and the whole
-        key must be the prefix's key plus k lifted z1's.  The fibre is
-        P(C + C^q sigma), with q = 1 on Q22; its divided class exists when
-        the letters it lifts to do.
+        key must be the prefix's key plus k lifted z1's.  Grading is linear:
+        a slot's (one, sigma) is the prefix's plus its fibre exponents times
+        the lifts' (_fibre_block), and it lies on the coset iff the same sum
+        of the lifts' fibre keys is k.  The fibre is P(C + C^q sigma), with
+        q = 1 on Q22; its divided class exists when its lift's letters do.
         """
-        step, q, has_divq = self._fibre_block
-        base = self.mono_grading(self.mono(prefix)).coset_key()
+        q, step, lifts = self._fibre_block
+        one, sigma, omega = self._int_grading(self.mono(prefix))
+        base = tuple(w - omega[0] for w in omega[1:])
         k = key[-1] - base[-1]
         if key != tuple(b + k * s for b, s in zip(base, step)):
             raise AssertionError(f"incoherent coset key {key}")
-        return [_ordered(self.letter_order, _lift(self.fibre, slot, prefix))
-                for slot in _x1q_slots(k, q, has_divq=has_divq)]
+        block = []
+        for slot in _x1q_slots(k, q, has_divq="divq" in lifts):
+            mono = _ordered(self.letter_order, _lift(self.fibre, slot, prefix))
+            slot_one, slot_sigma, fibre_key = one, sigma, 0
+            for name, exp in slot.items():
+                lift_one, lift_sigma, lift_key = lifts[name]
+                slot_one, slot_sigma = slot_one + exp * lift_one, slot_sigma + exp * lift_sigma
+                fibre_key += exp * lift_key
+            if fibre_key != k:
+                raise AssertionError(f"slot {mono_str(mono)} lands off-coset {key}")
+            block.append((mono, slot_one, slot_sigma))
+        return block
 
     # --- serialization ---
 

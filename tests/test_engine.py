@@ -116,10 +116,11 @@ def test_xp_kills_two_q_bd1_classes_that_are_no_x_multiples():
     x = bd1.mono(x=1)
     for z in (elt(bd1, z00=1, z11=-1, xp=1), elt(bd1, z00=1, xp=1)):
         assert annihilator_check(bd1, z) == (True, False)
-        monos = (mono_mul(x, s, bd1.letter_order)
-                 for s in bd1.coset_basis(z.grading - bd1.mono_grading(x)))
-        family = engine._dressed_slots(
-            z.grading, *bd1._graded_slots(z.grading.coset_key(), monos))
+        monos = tuple(mono_mul(x, s, bd1.letter_order)
+                      for s in bd1.coset_basis(z.grading - bd1.mono_grading(x)))
+        gradings = [bd1.mono_grading(m) for m in monos]
+        degrees = tuple(d for g in gradings for d in (g.one, g.sigma))
+        family = engine._dressed_slots(z.grading, monos, degrees)
         with pytest.raises(UnsolvableError, match="1 is not a multiple of 2"):
             solve_with_coefficients(bd1, z.grading, *z.evaluate(), ansatz=family)
 
@@ -1107,7 +1108,7 @@ def test_scalars_multiply_elements_from_either_side():
     assert str(B(2, 1) * u) == "(2+g)*x"
 
 
-def test_degree_checks_on_the_integer_path_still_fail_loudly():
+def test_degree_checks_on_the_integer_path_still_fail_loudly(monkeypatch):
     one, x = PointScalar.integer(1), BD2.mono(x=1)
     degree = BD2.mono_grading(x)
     for wrong in (degree + BD2.group.element(sigma=1),
@@ -1116,10 +1117,12 @@ def test_degree_checks_on_the_integer_path_still_fail_loudly():
                 f"term x has degree {degree}, not {wrong}")):
             RingElement.from_terms(BD2, ((one, x),), grading=wrong)
     # the dressing reads slot degrees only from a coset table or section
-    # family, whose slots are checked against the coset key when built
-    off = (degree + BD2.group.omega(BD2.group.labels[0])).coset_key()
+    # family, whose slots are checked against the coset key when built: x
+    # alone, handed over as the one slot of x's block one z1 step away
+    off = (degree + BD2.group.omega(BD2.group.labels[-1])).coset_key()
+    monkeypatch.setattr(presentation, "_x1q_slots", lambda k, q, *, has_divq: [{}])
     with pytest.raises(AssertionError, match=re.escape(f"slot x lands off-coset {off}")):
-        BD2._graded_slots(off, [x])
+        BD2._block(off, {"x": 1})
 
 
 def test_an_off_degree_term_is_named_as_an_element_prints_it():

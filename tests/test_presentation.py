@@ -378,27 +378,82 @@ def test_a_power_past_the_bu1_window_names_the_power_asked_for():
             bu1.eval_mono(m)
 
 
-def test_table_degrees_are_the_slots_gradings():
-    # coset_table reads (one, sigma) and the coset key off int sums; they
-    # agree with mono_grading and with the sum of the letters' gradings
-    # every space but BU1, which has no tables
+def _slot_degrees(sp, key, slots):
+    """The flat (one, sigma) degrees of slots on the coset key, each read off
+    mono_grading, checked against the sum of its letters' gradings."""
+    expected = []
+    for m in slots:
+        g = sp.mono_grading(m)
+        assert g == sum((exp * sp.letters[n].grading for n, exp in m),
+                        sp.group.zero()), (sp.name, mono_str(m))
+        assert g.coset_key() == key, (sp.name, mono_str(m))
+        expected += (g.one, g.sigma)
+    return tuple(expected)
+
+
+def test_table_degrees_are_the_slots_gradings(monkeypatch):
+    # coset_table and section_family read (one, sigma) and the coset key off
+    # int sums over a block's lifted fibre letters; they agree with
+    # mono_grading and with the sum of the letters' gradings on every space
+    # but BU1, which has no tables
     for name, q in LOADABLE[1:] + [("X1q", 1024), ("Q_BD", 1024), ("Q_DD", 1024)]:
         sp = load_presentation(name, q)
         for key in engine._sample_keys(sp):
             slots, degrees = sp.coset_table(key)
-            expected = []
-            for m in slots:
-                g = sp.mono_grading(m)
-                assert g == sum((exp * sp.letters[n].grading for n, exp in m),
-                                sp.group.zero()), (sp.name, mono_str(m))
-                assert g.coset_key() == key, (sp.name, mono_str(m))
-                expected += (g.one, g.sigma)
-            assert degrees == tuple(expected), (sp.name, key)
-    bd2 = load_presentation("Q_BD", 2)
-    slots = bd2.coset_basis((1, 0))
+            assert degrees == _slot_degrees(sp, key, slots), (sp.name, key)
+            if "x" in sp.letters:
+                family, degrees = sp.section_family(key)
+                assert family and degrees == _slot_degrees(sp, key, family), (sp.name, key)
+    # handed the fibre slots of the next offset, every slot's fibre key is
+    # one more than its block's: the coset (1, 0) gets (1, 1)'s slots
+    expected = mono_str(load_presentation("Q_BD", 2).coset_basis((1, 1))[0])
+    x1q_slots = presentation._x1q_slots
+    monkeypatch.setattr(presentation, "_x1q_slots", lambda k, q, *, has_divq: x1q_slots(
+        k + 1, q, has_divq=has_divq))
     with pytest.raises(AssertionError, match=re.escape(
-            f"slot {mono_str(slots[0])} lands off-coset (1, 1)")):
-        bd2._graded_slots((1, 1), slots)
+            f"slot {expected} lands off-coset (1, 0)")):
+        presentation._build_quadric("BD", 2).coset_table((1, 0))
+
+
+def test_an_inadmissible_slot_or_an_incoherent_key_fails_to_build(monkeypatch):
+    bd2 = presentation._build_quadric("BD", 2)
+    # z11^2 is the zeta prefix of the cosets (2, k), not of (1, 0)
+    with pytest.raises(AssertionError, match=re.escape("incoherent coset key (1, 0)")):
+        bd2._block((1, 0), {"z11": 2})
+    # z0^-k lies on the coset, but no letter of the zeta block licenses it
+    monkeypatch.setattr(presentation, "_x1q_slots", lambda k, q, *, has_divq: [{"z0": -k}])
+    with pytest.raises(AssertionError, match=re.escape(
+            f"inadmissible slot {mono_str(bd2.mono(z00=-1, z11=-1))} at (0, 1)")):
+        bd2.coset_table((0, 1))
+
+
+def test_a_fibre_letter_lifted_off_its_fibre_coset_fails_to_load():
+    # a slot's fibre key, summed over its fibre letters, places it on its
+    # coset only if each lifted letter's coset key is its fibre key times
+    # a lifted z1's; cw lifted with z00 lands off that line
+    bd2 = load_presentation("Q_BD", 2)
+    build = lambda fibre: SpacePresentation(
+        bd2.name, bd2.family, bd2.q, bd2.group, bd2.underlying, bd2.fixed_rings,
+        bd2.letters, fibre=fibre)
+    assert build(bd2.fibre).coset_table((1, 0)) == bd2.coset_table((1, 0))
+    with pytest.raises(AssertionError, match=re.escape(
+            "Q_BD(q=2): fibre letter cw lifts to coset key (-1, 0), off its fibre coset")):
+        build({**bd2.fibre, "cw": ("cw", "z00")})
+
+
+def test_a_table_grades_each_block_prefix_once(monkeypatch):
+    # a count guard with no timing in it: slot degrees are sums over the
+    # fibre letters lifted at load, so the sampled tables of a fresh
+    # Q_DD(16) grade each block's prefix, a zeta and a section block per
+    # coset, and no slot
+    dd16 = presentation._build_quadric("DD", 16)
+    calls = []
+    int_grading = SpacePresentation._int_grading
+    monkeypatch.setattr(SpacePresentation, "_int_grading",
+                        lambda self, m: calls.append(m) or int_grading(self, m))
+    keys = engine._sample_keys(dd16)
+    slots = sum(len(dd16.coset_basis(key)) for key in keys)
+    assert len(calls) == 2 * len(keys) < slots
 
 
 def _naive_power(v, exp):

@@ -28,10 +28,11 @@ once per space (`_line_inverse`); it places the target or declines.  An
 ansatz, and every target the read declines, go to the lattice
 (`_integer_solve`), which decides and words every failure.
 `verify_presentation` checks that every sampled table is a Z-basis on
-both sides (`_singular_sides`), line by line through the same
-`_inverse`: the lines' rows must be distinct and number the rank.  This
-is linear in q.  Rewriting fails loudly past DEFAULT_STEP_BOUND rule
-applications per product rather than silently truncating.
+both sides (`_singular_sides`), line by line: a lone slot by its signed
+row (`_signed_row`), a longer line by `_inverse`; the lines' rows must be
+distinct and number the rank.  This is linear in q.  Rewriting fails
+loudly past DEFAULT_STEP_BOUND rule applications per product rather than
+silently truncating.
 
 Values are checked once, where they come in: outside terms by
 `RingElement.from_terms`, an ansatz where a solve receives it, an outside
@@ -119,18 +120,23 @@ class RingElement:
                    grading: GradingElement | None = None) -> "RingElement":
         """The door for outside terms: each monomial must be admissible and
         each non-zero term of degree `grading` (by default the first term's),
-        or ValueError; repeated monomials are summed."""
+        or ValueError; repeated monomials are summed.  Degrees are compared as
+        ints (_int_grading plus the scalar's), with no GradingElement built
+        but the default and the error's."""
         if grading is None and not terms:
             raise ValueError("the zero element needs an explicit grading")
         clean: dict[Mono, PointScalar] = {}
         for scalar, mono in terms:
             if not space.is_admissible(mono):
                 raise space._refuse(mono, "not admissible, an unlicensed negative power")
-            degree = space.mono_grading(mono) + space.group.element(*scalar.grading())
-            grading = degree if grading is None else grading
-            if scalar and degree != grading:
+            (one, sigma, omega), (s_one, s_sigma) = space._int_grading(mono), scalar.grading()
+            degree = (one + s_one, sigma + s_sigma, tuple(omega))
+            if grading is None:
+                grading = GradingElement(space.group, *degree)
+            elif scalar and (degree != (grading.one, grading.sigma, grading.omega)
+                             or space.group != grading.group):
                 raise ValueError(f"term {render_terms(((scalar, mono),))} has degree "
-                                 f"{degree}, not {grading}")
+                                 f"{GradingElement(space.group, *degree)}, not {grading}")
             _accumulate(clean, mono, scalar)
         return cls(space, grading, clean)
 
@@ -157,9 +163,16 @@ class RingElement:
 
     def evaluate(self) -> tuple[NonequivClass, FixedTuple]:
         """(sum of rho_multiplier * rho(m), sum of fix_multiplier * fix(m)),
-        summed on one coefficient dict per ring, one class built per ring."""
+        summed on one coefficient dict per ring, one class built per ring; a
+        lone term with multipliers 1 and 1 (from_mono) reads eval_trusted's
+        shared pair, as classes are never changed in place."""
         if self._eval is None:
             space = self.space
+            if len(self.terms) == 1:
+                (mono, scalar), = self.terms.items()
+                if scalar.rho_multiplier() == scalar.fix_multiplier() == 1:
+                    self._eval = space.eval_trusted(mono)
+                    return self._eval
             rho_acc: dict[Key, int] = {}
             fix_accs: list[dict[Key, int]] = [{} for _ in space.fixed_rings]
             for mono, scalar in self.terms.items():
@@ -486,20 +499,28 @@ def _unimodular_inverse(rows: list[list[int]]) -> list[list[int]] | None:
     return [row[k:] for row in work]
 
 
+def _signed_row(classes: tuple[NonequivClass, ...]) -> tuple[int, Key] | None:
+    """The (ring, key) row of a column, a class per ring, that is a signed
+    basis class (one entry, +-1), or None."""
+    row = None
+    for ci, cls in enumerate(classes):
+        for key, c in cls.coeffs.items():
+            if row is not None or c not in (1, -1):
+                return None
+            row = (ci, key)
+    return row
+
+
 def _inverse(columns: list[tuple[NonequivClass, ...]]) -> Inverse | None:
     """The inverse of the columns' matrix, each column a class per ring, as
     the (column, entry) pairs of its column per (ring, key) row; its keys
     are the rows, and no columns give {}.  None when a block (_blocks) is
     not square, as a zero column's is, or has |det| != 1
-    (_unimodular_inverse).  A lone column must be a signed basis class,
-    its own inverse, read directly."""
+    (_unimodular_inverse).  A lone column must be a signed basis class
+    (_signed_row), its own inverse, read directly."""
     if len(columns) == 1:
-        entries = [((ci, key), c) for ci, cls in enumerate(columns[0])
-                   for key, c in cls.coeffs.items()]
-        if len(entries) != 1 or entries[0][1] not in (1, -1):
-            return None
-        (row, c), = entries
-        return {row: ((0, c),)}
+        row = _signed_row(columns[0])
+        return row and {row: ((0, columns[0][row[0]].coeffs[row[1]]),)}
     out = {}
     for cols, keys, rows in _blocks(columns):
         inverse = _unimodular_inverse(rows) if len(keys) == len(cols) else None
@@ -774,15 +795,16 @@ def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]
 
     A side is decided line by line, on the lines a table solve reads
     (_read_coordinates): the slots of one one + sigma on the rho side, of
-    one one on the fixed side.  It is a basis when each line has an
-    inverse (_inverse), whose keys are the line's rows, and the rows of all
-    lines are distinct and number the rank: the matrix is then a direct sum
-    of unimodular blocks, so the side fails wherever the whole table's
-    matrix has no inverse.  Classes are homogeneous, so on a sound table
-    lines share no row; a slot whose class lies off its degree repeats one.
-    Most lines hold one slot, and the slot matrices have blocks of at most
-    4 columns on every sampled table, so this is linear in the number of
-    slots.  Each line is read once, so its inverse skips the solve memo.
+    one one on the fixed side.  It is a basis when each line is decided, a
+    lone slot by its signed row (_signed_row) and a longer line by its
+    inverse (_inverse, keyed by the line's rows), and the rows of all lines
+    are distinct and number the rank: the matrix is then a direct sum of
+    unimodular blocks, so the side fails wherever the whole table's matrix
+    has no inverse.  Classes are homogeneous, so on a sound table lines
+    share no row; a slot whose class lies off its degree repeats one.  Most
+    lines hold one slot, and the slot matrices have blocks of at most 4
+    columns on every sampled table, so this is linear in the number of
+    slots.  No line's inverse is kept.
     """
     slots, degrees = space.coset_table(key)
     rho_lines: dict[int, list] = {}
@@ -796,8 +818,11 @@ def _singular_sides(space: SpacePresentation, key: tuple[int, ...]) -> list[str]
     for side, rank, lines in (("rho", space.underlying.rank(), rho_lines),
                               ("fixed", sum(ring.rank() for ring in space.fixed_rings),
                                fix_lines)):
-        found = [_inverse(columns) for columns in lines.values()]
-        if None in found or not len(set().union(*found)) == len(slots) == rank:
+        rows: set[tuple[int, Key] | None] = set()  # an undecided line adds None
+        for columns in lines.values():
+            rows.update((_signed_row(columns[0]),) if len(columns) == 1
+                        else _inverse(columns) or (None,))
+        if None in rows or not len(rows) == len(slots) == rank:
             bad.append(side)
     return bad
 

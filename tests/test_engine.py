@@ -17,6 +17,7 @@ from quadrics.engine import (
     AmbiguousSolveError, RingElement, annihilator_check, multiply, normal_form,
     scalar_multiple, solve_with_coefficients, tau_transfer, verify_presentation,
 )
+from quadrics.grading import GradingElement, GradingGroup
 from quadrics.presentation import (
     FixedTuple, NoFiniteTableError, SpacePresentation,
     load_presentation, mono_mul, mono_str,
@@ -877,6 +878,30 @@ def test_evaluation_is_multiplicative_and_cached():
     assert u.evaluate() is u.evaluate()
 
 
+def test_a_lone_term_of_multipliers_one_reads_the_cached_pair(monkeypatch):
+    # every slot of one sampled table, dressed with every template of the
+    # gaps in [-4, 4]^2: the pair is the monomial's pair scaled term by term,
+    # and only multipliers (1, 1) read the cache, with nothing summed
+    summed = []
+    add = engine._add_multiple
+    monkeypatch.setattr(engine, "_add_multiple",
+                        lambda acc, n, cls: summed.append(n) or add(acc, n, cls))
+    templates = {dressed[0] for gap in itertools.product(range(-4, 5), repeat=2)
+                 if (dressed := scalar_dressing(gap)) is not None}
+    assert len(templates) > 1 and ONE in templates
+    for name, q in TABLED:
+        sp = load_presentation(name, q)
+        for slot in sp.coset_basis(engine._sample_keys(sp)[1]):
+            rho, fix = cached = sp.eval_trusted(slot)
+            for template in templates:
+                r, f = template.rho_multiplier(), template.fix_multiplier()
+                grading = sp.mono_grading(slot) + sp.group.element(*template.grading())
+                summed.clear()
+                pair = RingElement(sp, grading, {slot: template}).evaluate()
+                assert pair == (rho * r, fix * f), (sp.name, slot, template)
+                assert (pair is cached) == ((r, f) == (1, 1)) == (not summed)
+
+
 def test_verify_reports_a_relation_whose_normal_form_raises(monkeypatch):
     # in a decided degree the normal form is the table solve of the pair
     def broken(*args, **kwargs):
@@ -985,8 +1010,10 @@ def test_verify_reports_a_coset_slot_that_solves_to_an_earlier_candidate(monkeyp
 
 
 def test_verify_lists_every_failing_side_of_the_coset_tables(monkeypatch):
-    # ten sides fail, and the report names them all
+    # ten sides fail, and the report names them all; a lone line is decided
+    # by _signed_row and a longer one by _inverse, so both refuse here
     monkeypatch.setattr(engine, "_inverse", lambda columns: None)
+    monkeypatch.setattr(engine, "_signed_row", lambda classes: None)
     bd3 = presentation._build_quadric("BD", 3)
     sides = [f"{side} side of coset {key}" for key in engine._sample_keys(bd3)
              for side in ("rho", "fixed")]
@@ -1031,6 +1058,30 @@ def test_two_lines_that_share_a_row_fail_the_side(monkeypatch):
     assert _whole_table_sides(bd3, (1, 0)) == ["rho"]
 
 
+def test_a_doubled_lone_slot_or_a_line_of_det_two_fails_its_side(monkeypatch):
+    # z00*z11^2*cw is alone on its rho line (one + sigma = 2) and shares
+    # its fixed line (one = 0) with z11, of fixed parts (1, 0, 1).  Given
+    # 2c or c^2 + c under rho, the lone slot is no signed basis class; given
+    # fixed parts (1, 0, -1), the fixed line is [[1, 1], [1, -1]], |det| = 2.
+    # c^2 + c lies off the slot's degree: the whole matrix, one column step
+    # from the sound one, is unimodular, but the line verdict refuses it
+    bd3 = presentation._build_quadric("BD", 3)
+    slot, other = bd3.mono(z00=1, z11=2, cw=1), bd3.mono(z11=1)
+    rho, fix = bd3.eval_trusted(slot)
+    parts = bd3.eval_trusted(other)[1].parts
+    c2 = bd3.eval_trusted(bd3.mono(z11=1, cw=1, cxw=1))[0]
+    degrees = [(g.underlying_dim(), g.one) for g in map(bd3.mono_grading, bd3.coset_basis((1, 0)))]
+    assert [d for d, _ in degrees].count(2) == 1 and [o for _, o in degrees].count(0) == 2
+    eval_trusted = SpacePresentation.eval_trusted
+    for pair, sides, whole in (((rho * 2, fix), ["rho"], ["rho"]),
+                               ((c2 + rho, fix), ["rho"], []),
+                               ((rho, FixedTuple((*parts[:-1], -parts[-1]))), ["fixed"], ["fixed"])):
+        monkeypatch.setattr(SpacePresentation, "eval_trusted", lambda self, m, pair=pair:
+                            pair if self is bd3 and m == slot else eval_trusted(self, m))
+        assert engine._singular_sides(bd3, (1, 0)) == sides
+        assert _whole_table_sides(bd3, (1, 0)) == whole
+
+
 def test_verify_asks_no_zeta_power_and_eliminates_only_lines_of_two_slots(monkeypatch):
     # a count guard with no timing in it: a zeta is a mask, so a fresh
     # verify leaves no zeta key in the power cache, and a lone slot is read
@@ -1073,14 +1124,21 @@ def test_a_warm_solve_reuses_the_line_inverses(monkeypatch):
     assert inverses == []
 
 
-def test_verify_keeps_no_line_inverse():
+def test_verify_keeps_no_line_inverse(monkeypatch):
     # the coset-tables check inverts each line without the solve memo:
     # routing it through _line_inverse raised reproduce peak_rss_mb by
-    # 1.1 MB (20.7 -> 21.8, +5.3%) and wall_s by about 2.5%
-    sp = presentation._build_quadric("DD", 16)
-    for key in engine._sample_keys(sp):
-        assert engine._singular_sides(sp, key) == [], key
-    assert sp._inverses == {}
+    # 1.1 MB (20.7 -> 21.8, +5.3%) and wall_s by about 2.5%; and it reads
+    # a lone line's signed row, so no line of one column reaches _inverse
+    columns_seen = []
+    inverse = engine._inverse
+    monkeypatch.setattr(engine, "_inverse",
+                        lambda columns: columns_seen.append(len(columns)) or inverse(columns))
+    for family, q in (("DD", 16), ("BD", 1024)):
+        sp = presentation._build_quadric(family, q)
+        for key in engine._sample_keys(sp):
+            assert engine._singular_sides(sp, key) == [], (sp.name, key)
+        assert sp._inverses == {}
+    assert columns_seen and 1 not in columns_seen
 
 
 @pytest.mark.parametrize("q", (32, 128, 1024))
@@ -1123,6 +1181,21 @@ def test_degree_checks_on_the_integer_path_still_fail_loudly(monkeypatch):
     monkeypatch.setattr(presentation, "_x1q_slots", lambda k, q, *, has_divq: [{}])
     with pytest.raises(AssertionError, match=re.escape(f"slot x lands off-coset {off}")):
         BD2._block(off, {"x": 1})
+
+
+def test_a_term_offered_against_another_group_is_refused():
+    # the degree is compared on ints, and the group too: a Q_BD(2) term
+    # against a Q22 grading, and against a grading of x's own coordinates
+    # in a group of other labels
+    x = BD2.mono(x=1)
+    degree = BD2.mono_grading(x)
+    q22 = load_presentation("Q22")
+    other = GradingGroup(("a", "b", "c"))
+    for wrong in (q22.mono_grading(q22.mono(x=1)),
+                  GradingElement(other, degree.one, degree.sigma, degree.omega)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"term x has degree {degree}, not {wrong}")):
+            RingElement.from_terms(BD2, ((ONE, x),), grading=wrong)
 
 
 def test_an_off_degree_term_is_named_as_an_element_prints_it():

@@ -1070,12 +1070,14 @@ def test_a_doubled_lone_slot_or_a_line_of_det_two_fails_its_side(monkeypatch):
     rho, fix = bd3.eval_trusted(slot)
     parts = bd3.eval_trusted(other)[1].parts
     c2 = bd3.eval_trusted(bd3.mono(z11=1, cw=1, cxw=1))[0]
-    degrees = [(g.underlying_dim(), g.one) for g in map(bd3.mono_grading, bd3.coset_basis((1, 0)))]
-    assert [d for d, _ in degrees].count(2) == 1 and [o for _, o in degrees].count(0) == 2
+    gradings = list(map(bd3.mono_grading, bd3.coset_basis((1, 0))))
+    assert [g.underlying_dim() for g in gradings].count(2) == 1
+    assert [g.one for g in gradings].count(0) == 2
     eval_trusted = SpacePresentation.eval_trusted
+    det_two = FixedTuple((*parts[:-1], -parts[-1]))
     for pair, sides, whole in (((rho * 2, fix), ["rho"], ["rho"]),
                                ((c2 + rho, fix), ["rho"], []),
-                               ((rho, FixedTuple((*parts[:-1], -parts[-1]))), ["fixed"], ["fixed"])):
+                               ((rho, det_two), ["fixed"], ["fixed"])):
         monkeypatch.setattr(SpacePresentation, "eval_trusted", lambda self, m, pair=pair:
                             pair if self is bd3 and m == slot else eval_trusted(self, m))
         assert engine._singular_sides(bd3, (1, 0)) == sides
@@ -1167,10 +1169,16 @@ def test_scalars_multiply_elements_from_either_side():
 
 
 def test_degree_checks_on_the_integer_path_still_fail_loudly(monkeypatch):
+    # the degree is compared on ints, and the group too: a Q22 grading, and
+    # x's own coordinates in a group of other labels, are refused as well
     one, x = PointScalar.integer(1), BD2.mono(x=1)
     degree = BD2.mono_grading(x)
+    q22 = load_presentation("Q22")
     for wrong in (degree + BD2.group.element(sigma=1),
-                  degree + BD2.group.omega(BD2.group.labels[0])):
+                  degree + BD2.group.omega(BD2.group.labels[0]),
+                  q22.mono_grading(q22.mono(x=1)),
+                  GradingElement(GradingGroup(("a", "b", "c")), degree.one, degree.sigma,
+                                 degree.omega)):
         with pytest.raises(ValueError, match=re.escape(
                 f"term x has degree {degree}, not {wrong}")):
             RingElement.from_terms(BD2, ((one, x),), grading=wrong)
@@ -1181,21 +1189,6 @@ def test_degree_checks_on_the_integer_path_still_fail_loudly(monkeypatch):
     monkeypatch.setattr(presentation, "_x1q_slots", lambda k, q, *, has_divq: [{}])
     with pytest.raises(AssertionError, match=re.escape(f"slot x lands off-coset {off}")):
         BD2._block(off, {"x": 1})
-
-
-def test_a_term_offered_against_another_group_is_refused():
-    # the degree is compared on ints, and the group too: a Q_BD(2) term
-    # against a Q22 grading, and against a grading of x's own coordinates
-    # in a group of other labels
-    x = BD2.mono(x=1)
-    degree = BD2.mono_grading(x)
-    q22 = load_presentation("Q22")
-    other = GradingGroup(("a", "b", "c"))
-    for wrong in (q22.mono_grading(q22.mono(x=1)),
-                  GradingElement(other, degree.one, degree.sigma, degree.omega)):
-        with pytest.raises(ValueError, match=re.escape(
-                f"term x has degree {degree}, not {wrong}")):
-            RingElement.from_terms(BD2, ((ONE, x),), grading=wrong)
 
 
 def test_an_off_degree_term_is_named_as_an_element_prints_it():

@@ -686,6 +686,23 @@ def test_a_target_where_no_candidate_lives_is_inconsistent():
         solve_with_coefficients(BD2, g, stray_rho, fix)
 
 
+def test_a_degree_of_on_line_slots_none_dressed_holds_only_zero():
+    # on Q_BD(3), degree -s over coset (0, 0) has three on-line slots and
+    # no dressing fills any of their gaps: the zero pair is the zero class,
+    # and any other pair, such as the empty slot's own, has nowhere to live
+    bd3 = load_presentation("Q_BD", 3)
+    grading = bd3.group.element(0, -1)
+    lines = engine._lines(grading, *bd3.coset_table(grading))
+    assert grading.coset_key() == (0, 0) and str(grading) == "-s"
+    assert len(lines) == 3 and all(template is None for *_, template in lines)
+    rho, fix = bd3.eval_mono(bd3.mono())
+    element, records, ambiguous = solve_with_coefficients(bd3, grading, rho * 0, fix * 0)
+    assert (element, records, ambiguous) == (RingElement.zero(bd3, grading), (), False)
+    with pytest.raises(UnsolvableError) as err:
+        solve_with_coefficients(bd3, grading, rho, fix)
+    assert str(err.value) == "nothing lives in degree -s of Q_BD(q=3)"
+
+
 def _dense_system(sp, records, rho, fix):
     """A row for every basis key of every ring, unknowns in the solver's order."""
     rings = [sp.underlying, *sp.fixed_rings]

@@ -22,10 +22,10 @@ a = 0 or a + b = 0 (`_lines`).  One inverse decides a line of a table:
 `_inverse` of the line's columns, a sparse map from each (ring, key) row
 to its column of the integer inverse, or None when the line is not a
 Z-basis of its rows; a lone slot must be a signed basis class, a longer
-line is inverted block by block.  A table solve reads the target's
-coordinates off the inverses of its rho line and its fixed line, kept
-once per space (`_line_inverse`); it places the target or declines.  An
-ansatz, and every target the read declines, go to the lattice
+line is inverted block by block.  A table solve scans the table's degrees
+once (`_lines`) and reads its records straight off the inverses of its
+rho line and its fixed line, kept once per space (`_line_inverse`); only
+a declined read, and an ansatz, list candidates for the lattice
 (`_integer_solve`), which decides and words every failure.
 `verify_presentation` checks that every sampled table is a Z-basis on
 both sides (`_singular_sides`), line by line: a lone slot by its signed
@@ -551,11 +551,11 @@ def _lines(grading: GradingElement, monos: tuple[Mono, ...],
     """(slot, a, b, template) per slot whose gap (a, b) to `grading` lies on
     a = 0 or a + b = 0, the only lines where the point ring has a class of
     infinite order, in slot order; the template is scalar_dressing's, read
-    once per gap (_template), or None.  The slots on a + b = 0 are the rho
-    line and those on a = 0 the fixed line whose inverses a solve reads
-    (_read_coordinates).  `monos` and their flat (one, sigma) `degrees`
-    come from coset_table or section_family, so the gap is an int pair,
-    and a slot off the lines drops out on two int tests.
+    once per gap (_template), or None.  This is a table solve's one scan:
+    a slot on a + b = 0 is on the rho line and one on a = 0 on the fixed
+    line (_read_coordinates).  `monos` and their flat (one, sigma) `degrees`
+    come from coset_table or section_family, so a slot off the lines drops
+    out on two int tests.
     """
     one, sigma = grading.one, grading.sigma
     out = []
@@ -627,24 +627,23 @@ def _coordinates(inverse: Inverse, classes: Iterable[NonequivClass], n: int) -> 
 def _read_coordinates(space: SpacePresentation,
                       lines: list[tuple[Mono, int, int, PointScalar | None]],
                       rho_target: NonequivClass,
-                      fix_target: FixedTuple) -> list[int] | None:
-    """The integer unknowns of the dressed slots of `lines` (see _lines), in
-    _equations' order, read off the target's coordinates y on the rho
-    columns and z on the fixed columns; None when the read cannot place the
-    target, which the lattice then decides and words.
-
-    Classes are homogeneous, so only the slots of the target's degree
-    count: one line, a + b = 0, on the rho side and one, a = 0, on the
-    fixed side.  Each line's inverse (_line_inverse) has exactly the line's
-    rows, and a target key off them is off the span.  The template 1 has
-    rho and fix multipliers 1, so a + b*g gives a = z and b = (y - z)/2;
-    every other template has one zero multiplier, and its slot lies on the
-    other side only, so c takes one division; an undressed slot needs
-    y = z = 0.  None also when a line has no inverse, or a division leaves
-    a remainder.
-    """
-    rho_slots = [mono for mono, a, b, _ in lines if not a + b]
-    fix_slots = [mono for mono, a, _, _ in lines if not a]
+                      fix_target: FixedTuple) -> tuple | None:
+    """A table solve's (template, slot, coefficient) records, one per dressed
+    slot of `lines` (_lines), in slot order with zeros included, read off
+    the target's coordinates y on the rho line (a + b = 0) and z on the
+    fixed line (a = 0); None when the read cannot place the target, which
+    the lattice then decides and words.  Each line's inverse (_line_inverse)
+    has exactly the line's rows, and a target key off them is off the span.
+    The template 1 has multipliers 1, so a + b*g gives a = z, b = (y - z)/2;
+    any other has one zero multiplier, its slot lies on the other line only
+    and c takes one division; an undressed slot needs y = z = 0.  None also
+    when a line has no inverse, or a division leaves a remainder."""
+    rho_slots, fix_slots = [], []
+    for mono, a, b, _ in lines:
+        if not a + b:
+            rho_slots.append(mono)
+        if not a:
+            fix_slots.append(mono)
     rho_inverse = _line_inverse(space, 0, rho_slots)
     fix_inverse = _line_inverse(space, 1, fix_slots)
     if rho_inverse is None or fix_inverse is None:
@@ -654,34 +653,34 @@ def _read_coordinates(space: SpacePresentation,
     if y is None or z is None:
         return None
     ys, zs = iter(y), iter(z)
-    x = []
-    for _, a, b, template in lines:
+    records = []
+    for mono, a, b, template in lines:
         yi = 0 if a + b else next(ys)
         zi = 0 if a else next(zs)
         if template is None:
             if yi or zi:
                 return None
-            continue
-        if template.is_burnside():
-            x.append(zi)
-            n, d = yi - zi, 2
+        elif template.is_burnside():
+            if (yi - zi) % 2:
+                return None
+            records.append((template, mono, BurnsideScalar(zi, (yi - zi) // 2)))
         else:
             r = template.rho_multiplier()
             n, d = (yi, r) if r else (zi, template.fix_multiplier())
-        if n % d:
-            return None
-        x.append(n // d)
-    return x
+            if n % d:
+                return None
+            records.append((template, mono, n // d))
+    return tuple(records)
 
 
 def _lattice_coefficients(space: SpacePresentation, grading: GradingElement,
                           candidates: list[tuple[PointScalar, Mono]],
                           rho_target: NonequivClass,
-                          fix_target: FixedTuple) -> list[int]:
-    """The integer unknowns of _equations' rows, plus a zero row per key
-    that only the target supports, from the integer solve; it decides and
-    words every failure, and a non-zero kernel raises AmbiguousSolveError,
-    naming the free candidates."""
+                          fix_target: FixedTuple) -> tuple:
+    """The candidates' records, as solve_with_coefficients returns them, from
+    the integer solve of _equations' rows plus a zero row per key that only
+    the target supports; it decides and words every failure, and a non-zero
+    kernel raises AmbiguousSolveError, naming the free candidates."""
     unknowns, table = _equations(space, candidates)
     ncols = len(unknowns)
     targets = (rho_target, *fix_target.parts)
@@ -691,14 +690,20 @@ def _lattice_coefficients(space: SpacePresentation, grading: GradingElement,
                 table[ci, key] = [0] * ncols
     rows = list(table.values())
     rhs = [targets[ci].coeffs.get(key, 0) for ci, key in table]
-    x, basis = _integer_solve(rows, rhs, ncols)
+    try:
+        x, basis = _integer_solve(rows, rhs, ncols)
+    except UnsolvableError as err:  # re-raised as is, so its context stays
+        err.args = (f"{err} in degree {grading} of {space.name}",)
+        raise
     if basis:
         free = dict.fromkeys(render_terms((candidates[unknowns[j][0]],))
                              for vec in basis for j, v in enumerate(vec) if v)
         raise AmbiguousSolveError(
             f"underdetermined solve in degree {grading} of {space.name}: the "
             f"evaluation pair does not separate {', '.join(free)}")
-    return x
+    values = iter(x)
+    return tuple((template, mono, BurnsideScalar(next(values), next(values))
+                  if template.is_burnside() else next(values)) for template, mono in candidates)
 
 
 def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
@@ -706,54 +711,48 @@ def solve_with_coefficients(space: SpacePresentation, grading: GradingElement,
                             ansatz: Iterable[tuple[PointScalar, Mono]] | None = None):
     """Solve (rho_target, fix_target) = sum_i c_i * template_i * mono_i over Z.
 
-    Without an ansatz the candidates are the coset-table slots of `grading`,
-    each dressed with the unique point-ring scalar filling the degree gap,
-    one object per gap (_lines, _template).  An ansatz comes from outside
-    and passes RingElement.from_terms first.  A coefficient is a + b*g in
-    the Burnside ring, two integer unknowns, where the template is a plain
-    Burnside scalar, and an integer otherwise.  Returns (element, records,
-    ambiguous) with one (template, mono, coefficient) record per candidate,
-    in candidate order, zeros included; only a non-zero coefficient builds
-    a term, by PointScalar.scale.  The flag is always False, and stays for
-    callers that unpack it.
+    The targets must be classes of the space's underlying and fixed rings,
+    or ValueError.  Without an ansatz the candidates are the coset-table
+    slots of `grading`, each dressed with the unique point-ring scalar
+    filling the degree gap, one object per gap (_lines, _template).  An
+    ansatz comes from outside and passes RingElement.from_terms first.  A
+    coefficient is a + b*g in the Burnside ring, two integer unknowns, where
+    the template is a plain Burnside scalar, and an integer otherwise.
+    Returns (element, records, ambiguous) with one (template, mono,
+    coefficient) record per candidate, in candidate order, zeros included;
+    each non-zero coefficient is its term, by PointScalar.scale, as no two
+    candidates that solve share a monomial.  The flag is always False, and
+    stays for callers that unpack it.
 
-    A table solve first reads coordinates (_read_coordinates), which places
-    the target or declines.  An ansatz, and every target the read declines,
-    go to the lattice (_lattice_coefficients), which decides and words every
-    failure; a non-zero kernel raises AmbiguousSolveError.
+    A table solve reads its records off the line inverses in one pass
+    (_read_coordinates), which places the target or declines.  Only then
+    are candidates listed: an ansatz, and every target the read declines,
+    go to the lattice (_lattice_coefficients), which decides and words
+    every failure; a non-zero kernel raises AmbiguousSolveError.
 
     A slot whose gap is the degree of a 2-torsion class e^k*xi^j has no
     candidate: neither map sees the class, so a re-solve drops such a term.
     """
+    if rho_target.ring is not space.underlying or [  # rings compare by identity
+            part.ring for part in fix_target.parts] != [*space.fixed_rings]:
+        raise ValueError(f"the targets in degree {grading} are not classes of {space.name}")
+    records = None
     if ansatz is None:
         lines = _lines(grading, *space.coset_table(grading))
-        candidates = [(template, mono) for mono, _, _, template in lines
-                      if template is not None]
+        records = _read_coordinates(space, lines, rho_target, fix_target)
+        if records is None:
+            candidates = [(template, mono) for mono, _, _, template in lines
+                          if template is not None]
     else:
         candidates = list(ansatz)
         RingElement.from_terms(space, candidates, grading)  # outside data: the door checks it
-    if not candidates:
-        if rho_target or fix_target:
-            raise UnsolvableError(f"nothing lives in degree {grading} of {space.name}")
-        return RingElement.zero(space, grading), (), False
-
-    x = None if ansatz is not None else _read_coordinates(space, lines, rho_target, fix_target)
-    if x is None:
-        try:
-            x = _lattice_coefficients(space, grading, candidates, rho_target, fix_target)
-        except AmbiguousSolveError:
-            raise
-        except UnsolvableError as err:  # re-raised as is, so its context stays
-            err.args = (f"{err} in degree {grading} of {space.name}",)
-            raise
-    values = iter(x)
-    records = tuple((template, mono, BurnsideScalar(next(values), next(values))
-                     if template.is_burnside() else next(values))
-                    for template, mono in candidates)
-    terms: dict[Mono, PointScalar] = {}
-    for template, mono, coeff in records:
-        if coeff:
-            _accumulate(terms, mono, template.scale(coeff))
+    if records is None:
+        if not candidates:
+            if rho_target or fix_target:
+                raise UnsolvableError(f"nothing lives in degree {grading} of {space.name}")
+            return RingElement.zero(space, grading), (), False
+        records = _lattice_coefficients(space, grading, candidates, rho_target, fix_target)
+    terms = {mono: template.scale(coeff) for template, mono, coeff in records if coeff}
     return RingElement(space, grading, terms), records, False
 
 

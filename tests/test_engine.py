@@ -524,21 +524,28 @@ def test_the_template_memo_keeps_one_template_per_on_line_gap(monkeypatch):
 
 def test_a_warm_table_solve_constructs_no_point_scalar(monkeypatch):
     # the mechanism of the warm solve, counted rather than timed: templates
-    # come from the memo and their scaling is canonical as it stands
+    # come from the memo and their scaling is canonical as it stands; the
+    # table is scanned once, and the read's records become the terms with
+    # no fold and no lattice
     sp = load_presentation("Q_BD", 5)
     solves = [(slot, sp.mono_grading(slot), *sp.eval_mono(slot))
               for key in engine._sample_keys(sp) for slot in sp.coset_basis(key)]
     for _, grading, rho, fix in solves:  # warm up
         solve_with_coefficients(sp, grading, rho, fix)
-    built = []
+    built, calls = [], []
     init = PointScalar.__init__
     monkeypatch.setattr(PointScalar, "__init__",
                         lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    for name in ("_accumulate", "_lattice_coefficients", "_lines"):
+        monkeypatch.setattr(engine, name, lambda *args, name=name, f=getattr(engine, name):
+                            calls.append(name) or f(*args))
     for slot, grading, rho, fix in solves:
         assert solve_with_coefficients(sp, grading, rho, fix)[0].terms == {slot: ONE}
     assert len(solves) == 60 and built == []
+    assert calls == ["_lines"] * 60
     PointScalar.integer(2)
-    assert len(built) == 1  # the wrapper counts
+    engine._accumulate({}, (), ONE)
+    assert len(built) == 1 and calls[60:] == ["_accumulate"]  # the wrappers count
 
 
 # the spanning grid: [-3, 3] per key component
@@ -684,6 +691,23 @@ def test_a_target_where_no_candidate_lives_is_inconsistent():
     stray_rho = rho + NonequivClass.monomial(ring, stray)
     with pytest.raises(UnsolvableError, match="inconsistent"):
         solve_with_coefficients(BD2, g, stray_rho, fix)
+
+
+def test_solve_targets_outside_the_space_are_refused_at_the_door():
+    # another space's rho class, keyed alike, and a fixed target one part
+    # short: both are refused by name, before any read or lattice
+    bd3, bd4 = load_presentation("Q_BD", 3), load_presentation("Q_BD", 4)
+    slot = bd3.mono(z11=1, cw=1, cxw=1)
+    assert slot in bd3.coset_basis((1, 0))
+    grading = bd3.mono_grading(slot)
+    rho, fix = bd3.eval_mono(slot)
+    foreign_rho = bd4.eval_mono(bd4.mono(z11=1, cw=1, cxw=1))[0]
+    assert foreign_rho.coeffs == rho.coeffs and foreign_rho.ring is not rho.ring
+    message = f"the targets in degree {grading} are not classes of Q_BD(q=3)"
+    for targets in ((foreign_rho, fix), (rho, FixedTuple(fix.parts[:-1]))):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_with_coefficients(bd3, grading, *targets)
+    assert solve_with_coefficients(bd3, grading, rho, fix)[0].terms == {slot: ONE}
 
 
 def test_a_degree_of_on_line_slots_none_dressed_holds_only_zero():
